@@ -57,13 +57,11 @@ let steady_state_op (module Q : QUEUE) ~pending =
 let queue_ns_per_op ?(repeats = 3) qm ~pending ~ops =
   let once () =
     let op = steady_state_op qm ~pending in
-    (* skulklint: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
-    let t0 = Sys.time () in
+    let t0 = Clock.now_ns () in
     for _ = 1 to ops do
       op ()
     done;
-    (* skulklint: allow wall-clock — closes the host-clock interval opened above *)
-    (Sys.time () -. t0) *. 1e9 /. float_of_int ops
+    Clock.since t0 *. 1e9 /. float_of_int ops
   in
   let best = ref (once ()) in
   for _ = 2 to repeats do
@@ -110,8 +108,7 @@ let ksm_rescan_ns_per_dirtied_page ~incremental ~iters =
   let rng = Sim.Rng.create 23 in
   let dirtied_per_iter = 164 in
   let stamp = ref 1_000_000 in
-  (* skulklint: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
-  let t0 = Sys.time () in
+  let t0 = Clock.now_ns () in
   for _ = 1 to iters do
     for _ = 1 to dirtied_per_iter do
       let s = spaces.(Sim.Rng.int rng 64) in
@@ -122,5 +119,4 @@ let ksm_rescan_ns_per_dirtied_page ~incremental ~iters =
     done;
     Memory.Ksm.scan_once ksm
   done;
-  (* skulklint: allow wall-clock — closes the host-clock interval opened above *)
-  (Sys.time () -. t0) *. 1e9 /. float_of_int (iters * dirtied_per_iter)
+  Clock.since t0 *. 1e9 /. float_of_int (iters * dirtied_per_iter)

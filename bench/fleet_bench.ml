@@ -28,11 +28,9 @@ let measure ?(repeats = 2) ~hosts ~tenants ~minutes ~shards ~jobs () =
   let best = ref infinity in
   for _ = 1 to repeats do
     let ctx = Sim.Ctx.create ~seed:42 () in
-    (* skulklint: allow wall-clock — times the simulator itself (host CPU seconds), not simulated work *)
-    let t0 = Sys.time () in
+    let t0 = Clock.now_ns () in
     let r = Fleet.World.run ~jobs ~shards ctx spec in
-    (* skulklint: allow wall-clock — closes the host-clock interval opened above *)
-    let dt = Sys.time () -. t0 in
+    let dt = Clock.since t0 in
     events := Fleet.World.events r;
     if dt < !best then best := dt
   done;

@@ -75,7 +75,7 @@ let write_out path contents =
     close_out oc
 
 let sink ~metrics_out ~trace_out =
-  (* skulklint: allow sink-discipline — the harness IS the entry point; the sink made here is the root one threaded down via Sim.Ctx *)
+  (* skulkscope: allow sink-discipline — the harness IS the entry point; the sink made here is the root one threaded down via Sim.Ctx *)
   if metrics_out <> None || trace_out <> None then Some (Sim.Telemetry.create ()) else None
 
 let export ~metrics_out ~trace_out = function

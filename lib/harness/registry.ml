@@ -1,4 +1,4 @@
-(* skulklint: allow toplevel-mutable — populated once by register at startup, before any trial domain spawns; read-only afterwards *)
+(* skulkscope: allow toplevel-mutable — populated once by register at startup, before any trial domain spawns; read-only afterwards *)
 let experiments : Experiment.t list ref = ref []
 
 let register (e : Experiment.t) =

@@ -220,7 +220,7 @@ let migration_compatible ~source ~dest =
     |> check (source.machine = dest.machine) "machine type differs"
     |> check (source.memory_mb = dest.memory_mb) "memory size differs"
     |> check (source.vcpus = dest.vcpus) "vCPU count differs"
-    |> check (source.disk.size_gb = dest.disk.size_gb) "disk size differs"
+    |> check (Float.equal source.disk.size_gb dest.disk.size_gb) "disk size differs"
     |> check (source.disk.format = dest.disk.format) "disk format differs"
     |> check (source.netdev.model = dest.netdev.model) "NIC model differs"
   in

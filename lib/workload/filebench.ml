@@ -16,14 +16,14 @@ type result = {
    create+delete pair every few ops. Costs come from the same
    calibration family as the lmbench fs rows. *)
 let op_mix =
-  [|
+  [
     Vmm.Cost_model.op ~name:"fb-read" ~cpu:(Sim.Time.us 6.) ~sw_exits:0.5 ~hw_faults_l2:1.5 ();
     Vmm.Cost_model.op ~name:"fb-write" ~cpu:(Sim.Time.us 8.) ~sw_exits:0.8 ~hw_faults_l2:2.0 ();
     Vmm.Cost_model.op ~name:"fb-create" ~cpu:(Sim.Time.us 10.) ~sw_exits:1.0 ~hw_faults_l2:4.0
       ~residual_l1:1.03 ();
     Vmm.Cost_model.op ~name:"fb-delete" ~cpu:(Sim.Time.us 3.6) ~sw_exits:0.5 ~hw_faults_l2:0.3
       ~residual_l1:1.04 ();
-  |]
+  ]
 
 let region env config =
   let total = Memory.Address_space.pages env.Exec_env.ram in
@@ -38,7 +38,7 @@ let run ?(config = default_config) ?(ops = 100_000) env =
   let rec go remaining i =
     if remaining > 0 then begin
       let n = min batch remaining in
-      let op = op_mix.(i mod Array.length op_mix) in
+      let op = List.nth op_mix (i mod List.length op_mix) in
       ignore (Exec_env.consume env op n);
       Exec_env.dirty_region env ~offset ~length (n / 8);
       (match env.Exec_env.vm with

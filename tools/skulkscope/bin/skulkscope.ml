@@ -1,4 +1,5 @@
-(* skulkscope — typed escape/determinism/context analysis over .cmt files.
+(* skulkscope — the lint pass: determinism, domain-safety, context and
+   telemetry rules over the typed trees in .cmt files.
 
    Usage: skulkscope [--allow FILE] [--json FILE] [--format FMT] [--rules]
                      [--build-dir DIR] [--map-prefix FROM=TO] PATH...
@@ -21,15 +22,16 @@ let usage () =
      \                    (lets a test corpus masquerade as lib/ paths)";
   exit 2
 
+open Skulkscope_core
+
 let print_rules () =
   List.iter
-    (fun (r : Skulkscope_core.Rules.rule) ->
-      Printf.printf "%-16s %-18s %s\n" r.name r.family r.summary)
-    Skulkscope_core.Rules.catalogue
+    (fun (r : Rules.rule) -> Printf.printf "%-18s %-14s %s\n" r.name r.family r.summary)
+    Rules.catalogue
 
 let () =
   let allow_file = ref None and json_out = ref None and roots = ref [] in
-  let format = ref Lintkit.Report.Human in
+  let format = ref Report.Human in
   let build_dir = ref None and prefixes = ref [] in
   let rec parse_args = function
     | [] -> ()
@@ -40,7 +42,7 @@ let () =
       json_out := Some f;
       parse_args rest
     | "--format" :: f :: rest -> (
-      match Lintkit.Report.format_of_string f with
+      match Report.format_of_string f with
       | Some fmt ->
         format := fmt;
         parse_args rest
@@ -85,25 +87,23 @@ let () =
     | None -> ([], [])
     | Some f ->
       let entries, errs =
-        Lintkit.Allow.parse_allow_file (Skulkscope_core.Driver.read_file f)
+        Allow.parse_allow_file (Driver.read_file f)
       in
       ( entries,
         List.map
           (fun (line, msg) ->
-            { Lintkit.Report.tool = "skulkscope"; rule = "allow-file-syntax";
-              file = f; line; col = 0; message = msg })
+            { Report.rule = "allow-file-syntax"; file = f; line; col = 0; message = msg })
           errs )
   in
   let result, cmt_errors =
-    Skulkscope_core.Driver.lint_tree ~allow_entries ~prefixes:(List.rev !prefixes)
+    Driver.lint_tree ~allow_entries ~prefixes:(List.rev !prefixes)
       ~build_dir (List.rev !roots)
   in
-  let findings = Lintkit.Report.sort (allow_errors @ cmt_errors @ result.findings) in
+  let findings = Report.sort (allow_errors @ cmt_errors @ result.findings) in
   let out = if !json_out = Some "-" then Format.err_formatter else Format.std_formatter in
-  List.iter (fun f -> Format.fprintf out "%a@." (Lintkit.Report.pp !format) f) findings;
+  List.iter (fun f -> Format.fprintf out "%a@." (Report.pp !format) f) findings;
   let json =
-    Lintkit.Report.to_json ~tools:[ "skulkscope" ]
-      ~files_scanned:result.files_scanned ~suppressed:result.suppressed findings
+    Report.to_json ~files_scanned:result.files_scanned ~suppressed:result.suppressed findings
   in
   (match !json_out with
   | Some "-" -> print_string json

@@ -1,4 +1,5 @@
-(* Pass B: per-unit emission, consulting the whole-tree tables.
+(* Pass B, across functions: per-unit emission consulting the
+   whole-tree tables (the site-local rules are in Checks).
 
    Spawn sites ([Sim.Parallel.map]/[map_seeds]/[map_ctx] incl. the
    [~seed_of] callback, [Domain.spawn], [Thread.create]) get a
@@ -20,10 +21,6 @@
    whole closure, so shadowing can only hide findings, never invent
    them. *)
 
-open Lintkit
-
-let tool = "skulkscope"
-
 type ctxt = {
   t : Summary.tables;
   u : Summary.unit_info;
@@ -31,36 +28,8 @@ type ctxt = {
   findings : Report.finding list ref;
 }
 
-let emit c (rule : Rules.rule) (loc : Location.t) fmt =
-  Printf.ksprintf
-    (fun message ->
-      if rule.applies c.u.u_path then
-        let pos = loc.loc_start in
-        c.findings :=
-          { Report.tool; rule = rule.name; file = c.u.u_path;
-            line = pos.pos_lnum; col = pos.pos_cnum - pos.pos_bol; message }
-          :: !(c.findings))
-    fmt
-
-let rule name =
-  match Rules.find_rule name with
-  | Some r -> r
-  | None -> invalid_arg ("skulkscope: unknown rule " ^ name)
-
-let escape_capture = rule "escape-capture"
-let escape_call = rule "escape-call"
-let rng_escape = rule "rng-escape"
-let rng_order = rule "rng-order"
-let ctx_minted = rule "ctx-minted"
-let ctx_launder = rule "ctx-launder"
-
-let key_of c (p : Path.t) =
-  match p with
-  | Path.Pident id -> Summary.resolve_pident c.t c.u id
-  | _ -> Some (Classify.key_of_path p)
-
-let head_key c (e : Typedtree.expression) =
-  match e.exp_desc with Texp_ident (p, _, _) -> key_of c p | _ -> None
+let emit c name loc fmt = Rules.emit c.findings (Rules.get name) ~file:c.u.u_path loc fmt
+let head_key c e = Summary.head_key c.t c.u e
 
 (* ---- free-variable collection over a closure ---- *)
 
@@ -81,11 +50,11 @@ let collect_occurrences c (root : Typedtree.expression) =
   in
   let expr it (e : Typedtree.expression) =
     (match e.exp_desc with
-    | Texp_ident (Path.Pident id, _, _) -> (
-      match Summary.resolve_pident c.t c.u id with
-      | Some key -> o.keys <- (key, e.exp_loc) :: o.keys
-      | None -> o.locals <- (id, e.exp_type, e.exp_loc) :: o.locals)
-    | Texp_ident (p, _, _) -> o.keys <- (Classify.key_of_path p, e.exp_loc) :: o.keys
+    | Texp_ident (p, _, _) -> (
+      match (Summary.key_of c.t c.u p, p) with
+      | Some key, _ -> o.keys <- (key, e.exp_loc) :: o.keys
+      | None, Path.Pident id -> o.locals <- (id, e.exp_type, e.exp_loc) :: o.locals
+      | None, _ -> ())
     | Texp_for (id, _, _, _, _, _) -> o.bound <- id :: o.bound
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
@@ -115,13 +84,13 @@ let rec analyze_closure c ~spawn ~visited (root : Typedtree.expression) =
         match Classify.classify ~self:c.u.u_prefix c.t.records ty with
         | Classify.Atomic_ok | Classify.Neutral -> ()
         | Classify.Mutable desc ->
-          emit c escape_capture loc
+          emit c "escape-capture" loc
             "closure spawned via %s captures `%s` (%s) from the spawning \
              scope; every trial domain shares it — allocate per trial or use \
              Atomic"
             spawn name desc
         | Classify.Rngish desc ->
-          emit c rng_escape loc
+          emit c "rng-escape" loc
             "closure spawned via %s captures `%s` (%s) from the spawning \
              scope; the draw schedule would depend on domain interleaving — \
              fork a per-trial stream from the child ctx"
@@ -142,14 +111,14 @@ let rec analyze_closure c ~spawn ~visited (root : Typedtree.expression) =
         let name = Classify.key_to_string key in
         (match Hashtbl.find_opt c.t.global_mutables key with
         | Some desc ->
-          emit c escape_capture loc
+          emit c "escape-capture" loc
             "closure spawned via %s uses module-level `%s` (%s); state that \
              outlives the trial is shared by every domain"
             spawn name desc
         | None -> ());
         (match Hashtbl.find_opt c.t.global_rngs key with
         | Some desc ->
-          emit c rng_escape loc
+          emit c "rng-escape" loc
             "closure spawned via %s uses module-level `%s` (%s); a shared \
              stream makes the draw schedule depend on interleaving"
             spawn name desc
@@ -158,7 +127,7 @@ let rec analyze_closure c ~spawn ~visited (root : Typedtree.expression) =
         | Some (s : Summary.fn_summary) -> (
           match s.roots with
           | (rkey, desc) :: _ ->
-            emit c escape_call loc
+            emit c "escape-call" loc
               "closure spawned via %s calls `%s`, which transitively reaches \
                module-level `%s` (%s)"
               spawn name
@@ -189,42 +158,25 @@ let analyze_spawned c ~spawn (e : Typedtree.expression) =
   let e = strip_option_wrap e in
   match e.exp_desc with
   | Texp_function _ -> analyze_closure c ~spawn ~visited:[] e
-  | Texp_ident (Path.Pident id, _, _) -> (
-    match Summary.resolve_pident c.t c.u id with
-    | Some key -> (
-      match Hashtbl.find_opt c.t.functions key with
-      | Some (s : Summary.fn_summary) -> (
-        match s.roots with
-        | (rkey, desc) :: _ ->
-          emit c escape_call e.exp_loc
-            "`%s` runs in spawned domains (via %s) and transitively reaches \
-             module-level `%s` (%s)"
-            (Classify.key_to_string key)
-            spawn
-            (Classify.key_to_string rkey)
-            desc
-        | [] -> ())
-      | None -> ())
-    | None -> (
-      (* a local let-bound closure: expand its definition *)
-      match find_local_def c id with
-      | Some body -> analyze_closure c ~spawn ~visited:[ id ] body
-      | None -> ()))
   | Texp_ident (p, _, _) -> (
-    let key = Classify.key_of_path p in
-    match Hashtbl.find_opt c.t.functions key with
-    | Some (s : Summary.fn_summary) -> (
-      match s.roots with
-      | (rkey, desc) :: _ ->
-        emit c escape_call e.exp_loc
+    match (Summary.key_of c.t c.u p, p) with
+    | Some key, _ -> (
+      match Hashtbl.find_opt c.t.functions key with
+      | Some { roots = (rkey, desc) :: _; _ } ->
+        emit c "escape-call" e.exp_loc
           "`%s` runs in spawned domains (via %s) and transitively reaches \
            module-level `%s` (%s)"
           (Classify.key_to_string key)
           spawn
           (Classify.key_to_string rkey)
           desc
-      | [] -> ())
-    | None -> ())
+      | _ -> ())
+    | None, Path.Pident id -> (
+      (* a local let-bound closure: expand its definition *)
+      match find_local_def c id with
+      | Some body -> analyze_closure c ~spawn ~visited:[ id ] body
+      | None -> ())
+    | None, _ -> ())
   | _ -> () (* partial applications etc.: a known hole *)
 
 let label_name = function
@@ -258,7 +210,7 @@ let handle_hashtbl c fn args =
           when Classify.is_rng_draw_head k
                && not (List.mem head.exp_loc !seen) ->
           seen := head.exp_loc :: !seen;
-          emit c rng_order head.exp_loc
+          emit c "rng-order" head.exp_loc
             "`%s` consumed inside `Hashtbl.%s`: the draw order follows \
              hash-bucket order, which varies with insertion history — fold \
              over sorted keys instead"
@@ -298,33 +250,8 @@ let collect_local_defs (str : Typedtree.structure) =
   it.Tast_iterator.structure it str;
   !defs
 
-let check_module_level_rng c =
-  (* module-level Ctx/Engine/Rng values in lib/: minted state that
-     should arrive as a parameter. Same nesting discipline as pass A:
-     descend into modules, not into expressions. *)
-  let on_item ~prefix (item : Typedtree.structure_item) =
-    match item.str_desc with
-    | Tstr_value (_, vbs) ->
-      List.iter
-        (fun (vb : Typedtree.value_binding) ->
-          List.iter
-            (fun (id, ty, loc) ->
-              match Classify.classify ~self:prefix c.t.records ty with
-              | Classify.Rngish desc ->
-                emit c ctx_minted loc
-                  "module-level `%s` holds a %s; mint contexts at entry \
-                   points and thread them down as parameters"
-                  (Ident.name id) desc
-              | _ -> ())
-            (Summary.binding_vars vb.vb_pat))
-        vbs
-    | _ -> ()
-  in
-  Summary.walk_module_level ~prefix:c.u.u_prefix ~on_item c.u.u_structure
-
 let run (t : Summary.tables) (u : Summary.unit_info) : Report.finding list =
   let c = { t; u; local_defs = collect_local_defs u.u_structure; findings = ref [] } in
-  check_module_level_rng c;
   let expr it (e : Typedtree.expression) =
     (match e.exp_desc with
     | Texp_apply (head, args) -> (
@@ -335,13 +262,13 @@ let run (t : Summary.tables) (u : Summary.unit_info) : Report.finding list =
         | Some fn -> handle_hashtbl c fn args
         | None -> ());
         if Classify.is_ctx_create key then
-          emit c ctx_minted head.exp_loc
+          emit c "ctx-minted" head.exp_loc
             "Ctx.create in lib/: contexts are minted at entry points and \
              passed down (derive per-trial state with Ctx.fork / with_seed)"
         else (
           match Hashtbl.find_opt t.functions key with
           | Some (s : Summary.fn_summary) when s.mints ->
-            emit c ctx_launder head.exp_loc
+            emit c "ctx-launder" head.exp_loc
               "`%s` transitively applies Ctx.create; a wrapper does not \
                launder context provenance — accept a Ctx.t parameter instead"
               (Classify.key_to_string key)
@@ -352,16 +279,4 @@ let run (t : Summary.tables) (u : Summary.unit_info) : Report.finding list =
   in
   let it = { Tast_iterator.default_iterator with expr } in
   it.Tast_iterator.structure it u.u_structure;
-  (* one report per (rule, line): a toplevel [let c = Ctx.create 0] is
-     both a minted application and a module-level rng value — say it once *)
-  let sorted = Report.sort !(c.findings) in
-  let rec dedupe = function
-    | a :: b :: rest
-      when a.Report.rule = b.Report.rule
-           && a.Report.file = b.Report.file
-           && a.Report.line = b.Report.line ->
-      dedupe (a :: rest)
-    | a :: rest -> a :: dedupe rest
-    | [] -> []
-  in
-  dedupe sorted
+  !(c.findings)

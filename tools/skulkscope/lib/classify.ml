@@ -56,13 +56,38 @@ let short ((md, name) : key) : key =
   | Some i -> (String.sub md (i + 1) (String.length md - i - 1), name)
   | None -> (md, name)
 
+(* [key] names a value of module [m] or of one of its submodules *)
+let in_module m ((md, _) : key) =
+  md = m || String.starts_with ~prefix:(m ^ ".") md
+
 (* ---- spawn heads, iteration heads, rng draw heads ---- *)
 
-let is_spawn_head key =
+let is_raw_spawn key =
   match short key with
-  | ("Parallel", ("map" | "map_seeds" | "map_ctx" | "run_sharded")) -> true
   | ("Domain", "spawn") | ("Thread", "create") -> true
   | _ -> false
+
+let is_spawn_head key =
+  is_raw_spawn key
+  ||
+  match short key with
+  | ("Parallel", ("map" | "map_seeds" | "map_ctx" | "run_sharded")) -> true
+  | _ -> false
+
+let is_wall_clock key =
+  match short key with
+  | ("Sys", "time")
+  | ("Unix", ("gettimeofday" | "time" | "gmtime" | "localtime"))
+  | ("Monotonic_clock", "now") -> true
+  | _ -> false
+
+let is_sort_head key =
+  match short key with
+  | ("List", ("sort" | "sort_uniq" | "stable_sort" | "fast_sort")) -> true
+  | _ -> false
+
+let telemetry_fn key =
+  match short key with ("Telemetry", fn) -> Some fn | _ -> None
 
 let hashtbl_order_head key =
   (* Hashtbl traversals whose visit order follows the bucket layout. *)

@@ -1,16 +1,10 @@
-(* Load .cmt files, run both passes, suppress, report.
+(* Load .cmt files, build the pass-A tables, run pass B (Checks and
+   Analysis) over every unit, suppress, report.
 
    The pure entry point is [lint_units] (the self-tests hand it units
    loaded from a corpus .cmt with synthetic lib/-style paths);
    [lint_tree] adds .cmt discovery under a build directory and source
-   reading for allow comments, and is what the CLI calls. Report and
-   allow machinery are shared with skulklint via [Lintkit]; this tool's
-   inline marker is "skulkscope: allow". *)
-
-open Lintkit
-
-let tool = "skulkscope"
-let allow_marker = tool ^ ": allow"
+   reading for allow comments, and is what the CLI calls. *)
 
 type result = {
   findings : Report.finding list;  (** surviving, sorted *)
@@ -64,6 +58,15 @@ let load_cmt ?path ?source cmt_path : (Summary.unit_info, string) Result.t =
         }
     | _ -> Error "not an implementation")
 
+(* One report per (rule, line): a toplevel [let c = Ctx.create 0] is
+   both a minted application and a module-level context value. *)
+let rec dedupe = function
+  | (a : Report.finding) :: (b : Report.finding) :: rest
+    when a.rule = b.rule && a.file = b.file && a.line = b.line ->
+    dedupe (a :: rest)
+  | a :: rest -> a :: dedupe rest
+  | [] -> []
+
 (* Lint a loaded set of units as one program: pass-A tables span all of
    them, then each unit is analysed and its allows applied. *)
 let lint_units ?(allow_entries = []) (units : Summary.unit_info list) : result =
@@ -71,11 +74,9 @@ let lint_units ?(allow_entries = []) (units : Summary.unit_info list) : result =
   let findings, suppressed =
     List.fold_left
       (fun (fs, n) (u : Summary.unit_info) ->
-        let raw = Analysis.run tables u in
+        let raw = dedupe (Report.sort (Checks.run tables u @ Analysis.run tables u)) in
         let allows =
-          match u.u_source with
-          | Some src -> Allow.scan_comments ~marker:allow_marker src
-          | None -> []
+          match u.u_source with Some src -> Allow.scan_comments src | None -> []
         in
         let surviving, dropped =
           List.partition
@@ -87,7 +88,7 @@ let lint_units ?(allow_entries = []) (units : Summary.unit_info list) : result =
                      allow_entries))
             raw
         in
-        let meta = Allow.comment_findings ~tool ~file:u.u_path allows in
+        let meta = Allow.comment_findings ~file:u.u_path allows in
         (surviving @ meta @ fs, n + List.length dropped))
       ([], 0) units
   in
@@ -138,7 +139,7 @@ let lint_tree ?(allow_entries = []) ?(prefixes = []) ~build_dir roots : result *
         | Error "not an implementation" -> None (* interfaces, packs *)
         | Error msg ->
           errors :=
-            { Report.tool; rule = "cmt-error"; file = normalise cmt_path;
+            { Report.rule = "cmt-error"; file = normalise cmt_path;
               line = 1; col = 0; message = msg }
             :: !errors;
           None)

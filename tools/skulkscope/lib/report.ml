@@ -1,10 +1,9 @@
-(* Findings and the three report formats (human text, GitHub Actions
-   annotations, JSON), shared by skulklint and skulkscope. Each finding
-   carries the tool that produced it, so reports merged across tools
-   stay attributable. *)
+(* Findings and the three report formats: human text, GitHub Actions
+   annotations and JSON. *)
+
+let tool = "skulkscope"
 
 type finding = {
-  tool : string;
   rule : string;
   file : string;
   line : int;
@@ -17,12 +16,7 @@ let compare_finding a b =
   | 0 -> (
     match Int.compare a.line b.line with
     | 0 -> (
-      match Int.compare a.col b.col with
-      | 0 -> (
-        match String.compare a.rule b.rule with
-        | 0 -> String.compare a.tool b.tool
-        | c -> c)
-      | c -> c)
+      match Int.compare a.col b.col with 0 -> String.compare a.rule b.rule | c -> c)
     | c -> c)
   | c -> c
 
@@ -56,8 +50,7 @@ let github_escape s =
 
 let pp_github ppf f =
   Format.fprintf ppf "::error file=%s,line=%d,col=%d,title=%s %s::%s" f.file
-    (max 1 f.line) (max 1 f.col) (github_escape f.tool) (github_escape f.rule)
-    (github_escape f.message)
+    (max 1 f.line) (max 1 f.col) tool (github_escape f.rule) (github_escape f.message)
 
 let pp = function Human -> pp_human | Github -> pp_github
 
@@ -80,19 +73,14 @@ let json_escape s =
   Buffer.contents buf
 
 let finding_to_json f =
-  Printf.sprintf
-    {|{"tool":"%s","file":"%s","line":%d,"col":%d,"rule":"%s","message":"%s"}|}
-    (json_escape f.tool) (json_escape f.file) f.line f.col (json_escape f.rule)
-    (json_escape f.message)
+  Printf.sprintf {|{"file":"%s","line":%d,"col":%d,"rule":"%s","message":"%s"}|}
+    (json_escape f.file) f.line f.col (json_escape f.rule) (json_escape f.message)
 
-(* [tools] is the single tool name for a per-tool report, or the list of
-   merged tools for the combined lint-report.json. *)
-let to_json ~tools ~files_scanned ~suppressed findings =
+let to_json ~files_scanned ~suppressed findings =
   let body = String.concat ",\n    " (List.map finding_to_json (sort findings)) in
   Printf.sprintf
     {|{
   "tool": "%s",
-  "tools": [%s],
   "files_scanned": %d,
   "suppressed": %d,
   "finding_count": %d,
@@ -101,6 +89,4 @@ let to_json ~tools ~files_scanned ~suppressed findings =
   ]
 }
 |}
-    (json_escape (String.concat "+" tools))
-    (String.concat ", " (List.map (fun t -> "\"" ^ json_escape t ^ "\"") tools))
-    files_scanned suppressed (List.length findings) body
+    tool files_scanned suppressed (List.length findings) body

@@ -6,11 +6,13 @@
      - the set of module-level values of mutable / RNG-ish type,
      - a per-function summary: which module-level names it references
        and whether it applies [Ctx.create] directly,
+     - each unit's module aliases, so a path through [module R = Random]
+       keys as [Random],
    then a fixpoint over the call graph computes, per function, the
    module-level mutable roots transitively reachable from it and
-   whether it transitively mints a [Ctx]. Pass B (Analysis) consults
-   these when a spawned closure calls a named function, and for the
-   ctx-launder rule.
+   whether it transitively mints a [Ctx]. Pass B consults these: Checks
+   for module-level state, Analysis when a spawned closure calls a named
+   function and for the ctx-launder rule.
 
    Everything is keyed by (fully-dotted module path, name), with nested
    modules tracked, so same-named modules in different libraries never
@@ -40,6 +42,9 @@ type tables = {
   (* per unit: the Idents of its module-level bindings, so Pident uses
      inside that unit resolve to keys by stamp, immune to shadowing *)
   toplevels : (string, (Ident.t * Classify.key) list) Hashtbl.t;
+  (* per unit: module aliases ([module R = Random], [let module P =
+     Sim.Parallel in]), expanded before a path becomes a key *)
+  module_aliases : (string, (Ident.t * Path.t) list) Hashtbl.t;
 }
 
 (* ---- module-level walk, tracking the dotted prefix ---- *)
@@ -170,6 +175,31 @@ let collect_globals t (u : unit_info) =
   walk_module_level ~prefix:u.u_prefix ~on_item u.u_structure;
   Hashtbl.replace t.toplevels u.u_modname !tops
 
+let collect_module_aliases t (u : unit_info) =
+  let aliases = ref [] in
+  let rec target (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Some p
+    | Tmod_constraint (me, _, _, _) -> target me
+    | _ -> None
+  in
+  let add id me =
+    match (id, target me) with
+    | Some id, Some p -> aliases := (id, p) :: !aliases
+    | _ -> ()
+  in
+  let module_binding it (mb : Typedtree.module_binding) =
+    add mb.mb_id mb.mb_expr;
+    Tast_iterator.default_iterator.module_binding it mb
+  in
+  let expr it (e : Typedtree.expression) =
+    (match e.exp_desc with Texp_letmodule (id, _, _, me, _) -> add id me | _ -> ());
+    Tast_iterator.default_iterator.expr it e
+  in
+  let it = { Tast_iterator.default_iterator with module_binding; expr } in
+  it.Tast_iterator.structure it u.u_structure;
+  Hashtbl.replace t.module_aliases u.u_modname !aliases
+
 (* ---- sweep 4: per-function references ---- *)
 
 let resolve_pident t (u : unit_info) id =
@@ -180,17 +210,32 @@ let resolve_pident t (u : unit_info) id =
       (fun (tid, key) -> if Ident.same tid id then Some key else None)
       tops
 
+let rec expand_aliases t (u : unit_info) (p : Path.t) =
+  match p with
+  | Path.Pident id -> (
+    let aliases = Option.value ~default:[] (Hashtbl.find_opt t.module_aliases u.u_modname) in
+    match List.find_map (fun (aid, q) -> if Ident.same aid id then Some q else None) aliases with
+    | Some q -> expand_aliases t u q
+    | None -> p)
+  | Path.Pdot (q, s) -> Path.Pdot (expand_aliases t u q, s)
+  | _ -> p
+
+(* The key a value path refers to: a unit's own module-level binding by
+   stamp, anything else by its alias-expanded path; [None] for locals. *)
+let key_of t (u : unit_info) (p : Path.t) =
+  match p with
+  | Path.Pident id -> resolve_pident t u id
+  | _ -> Some (Classify.key_of_path (expand_aliases t u p))
+
+let head_key t u (e : Typedtree.expression) =
+  match e.exp_desc with Texp_ident (p, _, _) -> key_of t u p | _ -> None
+
 let collect_refs t (u : unit_info) =
   let current = ref None in
   let expr it (e : Typedtree.expression) =
     (match (!current, e.exp_desc) with
     | Some fn, Texp_ident (p, _, _) -> (
-      let key =
-        match p with
-        | Path.Pident id -> resolve_pident t u id
-        | _ -> Some (Classify.key_of_path p)
-      in
-      match key with
+      match key_of t u p with
       | Some key ->
         if Classify.is_ctx_create key then fn.fn_mints <- true;
         if not (List.mem key fn.fn_refs) then fn.fn_refs <- key :: fn.fn_refs
@@ -265,11 +310,13 @@ let build (units : unit_info list) =
       global_rngs = Hashtbl.create 16;
       functions = Hashtbl.create 256;
       toplevels = Hashtbl.create 64;
+      module_aliases = Hashtbl.create 64;
     }
   in
   List.iter (fun u -> collect_records t.records u) units;
   List.iter (fun u -> collect_aliases t.records u) units;
   List.iter (collect_globals t) units;
+  List.iter (collect_module_aliases t) units;
   List.iter (collect_refs t) units;
   fixpoint t;
   t

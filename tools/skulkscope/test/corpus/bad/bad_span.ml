@@ -4,6 +4,7 @@
 let f telemetry now =
   Sim.Telemetry.span telemetry ~component:"x" ~name:"tick" ~start:now ~stop:now ()
 
-(* begin/end split across functions: start never captured here *)
+(* begin/end split across functions: start is captured elsewhere *)
+let elsewhere = Sim.Time.zero
 let g telemetry stop =
   Sim.Telemetry.span telemetry ~component:"x" ~name:"work" ~start:elsewhere ~stop ()
