@@ -240,8 +240,8 @@ let scan_report () =
   done;
   let dirty_ns = Clock.since t1 *. 1e9 /. dirty_pages in
   (* Event-engine record: the heap rows are measured live (Event_heap is
-     the pre-overhaul implementation, preserved in-tree as the reference
-     oracle), so the wheel-vs-heap speedup is an apples-to-apples number
+     the pre-overhaul implementation, kept in test/oracle/ as the
+     reference oracle), so the wheel-vs-heap speedup is an apples-to-apples number
      from the same machine and build. *)
   let q_ops = 1_000_000 in
   let wheel_1e3 = Event_bench.queue_ns_per_op Event_bench.wheel ~pending:1_000 ~ops:q_ops in

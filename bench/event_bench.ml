@@ -14,7 +14,7 @@ module type QUEUE = sig
 end
 
 let wheel = (module Sim.Event_queue : QUEUE)
-let heap = (module Sim.Event_heap : QUEUE)
+let heap = (module Event_heap : QUEUE)
 
 (* Timer periods drawn from the mix a loaded engine actually schedules:
    overwhelmingly packet-scale work (burst serialisations, link

@@ -20,7 +20,6 @@ let monitor_policy =
     dedup_every_n_sweeps = 2;
     probe_pages = 8;
     probe_budget = 1;
-    event_log_capacity = 32;
   }
 
 (* SLO thresholds: the rotation interval is 20 min, so a healthy monitor
@@ -66,7 +65,6 @@ let run_monitor_trial cctx =
     time_to_detect service "tenant-b",
     probes "tenant-a" + probes "tenant-b",
     budget_deferrals service,
-    events_dropped service,
     sweeps_run service )
 
 let roc_pages = [ 2; 4; 8 ]
@@ -134,7 +132,7 @@ let run { Harness.Experiment.trials; jobs; shards = _; ctx } =
     Sim.Parallel.map_ctx ~jobs ~ctx ~trials (fun _ cctx -> run_monitor_trial cctx)
   in
   let ttd_stats = Sim.Stats.create () in
-  let detected = ref 0 and deferrals = ref 0 and dropped = ref 0 in
+  let detected = ref 0 and deferrals = ref 0 in
   let fmt_ttd ttd =
     match ttd with
     | Some d ->
@@ -145,23 +143,20 @@ let run { Harness.Experiment.trials; jobs; shards = _; ctx } =
   in
   let rows =
     List.mapi
-      (fun i (ttd_a, ttd_b, probes, defs, drops, audits) ->
+      (fun i (ttd_a, ttd_b, probes, defs, audits) ->
         deferrals := !deferrals + defs;
-        dropped := !dropped + drops;
         [
           Printf.sprintf "infected #%d" (i + 1);
           fmt_ttd ttd_a;
           fmt_ttd ttd_b;
           string_of_int probes;
           string_of_int defs;
-          string_of_int drops;
           string_of_int audits;
         ])
       monitor_results
   in
   Bench_util.table
-    ~header:
-      [ "trial"; "ttd tenant-a"; "ttd tenant-b"; "probes"; "deferrals"; "dropped"; "audits" ]
+    ~header:[ "trial"; "ttd tenant-a"; "ttd tenant-b"; "probes"; "deferrals"; "audits" ]
     ~rows;
   let p50 = Sim.Time.ns (int_of_float (Sim.Stats.percentile ttd_stats 50.)) in
   let p99 = Sim.Time.ns (int_of_float (Sim.Stats.percentile ttd_stats 99.)) in
@@ -173,8 +168,7 @@ let run { Harness.Experiment.trials; jobs; shards = _; ctx } =
   Printf.printf "\n  detected: %d / %d tenants\n" !detected (2 * trials);
   slo "p50 time-to-detect" p50 slo_p50;
   slo "p99 time-to-detect" p99 slo_p99;
-  Printf.printf "  probe-budget deferrals: %d; ring-buffer events dropped: %d\n" !deferrals
-    !dropped;
+  Printf.printf "  probe-budget deferrals: %d\n" !deferrals;
   Bench_util.note
     "probes are jittered over a %s rotation (budget %d per %s window), so time-to-detect \
      is the scheduling delay plus one protocol run"

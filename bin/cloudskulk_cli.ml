@@ -139,13 +139,14 @@ let soc seed infected minutes metrics_out trace_out =
       dedup_every_n_sweeps = 2;
       probe_pages = 8;
       probe_budget = 1;
-      event_log_capacity = 64;
     }
   in
   (* the scenario runs on its own forked context; the service and the
      clock we drive must live on that engine, not the root one *)
   let sctx = scenario.Cloudskulk.Scenarios.ctx in
   let service = create ~policy sctx scenario.Cloudskulk.Scenarios.host in
+  let events = ref [] in
+  set_event_hook service (Some (fun e -> events := e :: !events));
   register_tenant service ~name:"tenant-a" ~env:(fun () ->
       scenario.Cloudskulk.Scenarios.detector_env);
   start_monitor service;
@@ -155,9 +156,7 @@ let soc seed infected minutes metrics_out trace_out =
   Harness.Flags.export ~metrics_out ~trace_out telemetry;
   Printf.printf "monitored for %d virtual minutes (%d audit sweeps)\n" minutes
     (sweeps_run service);
-  List.iter (fun e -> Printf.printf "  %s\n" (event_to_string e)) (events service);
-  if events_dropped service > 0 then
-    Printf.printf "  (+%d events dropped by the ring buffer)\n" (events_dropped service);
+  List.iter (fun e -> Printf.printf "  %s\n" (event_to_string e)) (List.rev !events);
   (match tenant_state service "tenant-a" with
   | None -> ()
   | Some st ->
@@ -173,15 +172,13 @@ let soc seed infected minutes metrics_out trace_out =
   let detected = compromised_tenants service <> [] in
   if detected = infected then 0 else 2
 
-(* trace: run a scenario and dump its trace *)
+(* trace: run a scenario and print its journal as JSONL *)
 let dump_trace seed infected =
-  let ctx = make_ctx seed in
-  let scenario =
-    if infected then Cloudskulk.Scenarios.infected ctx else Cloudskulk.Scenarios.clean ctx
-  in
-  List.iter
-    (fun r -> Format.printf "%a@." Sim.Trace.pp_record r)
-    (Sim.Trace.records (Sim.Ctx.trace scenario.Cloudskulk.Scenarios.ctx));
+  let telemetry = Sim.Telemetry.create () in
+  let ctx = make_ctx ~telemetry seed in
+  ignore
+    (if infected then Cloudskulk.Scenarios.infected ctx else Cloudskulk.Scenarios.clean ctx);
+  print_string (Sim.Telemetry.jsonl_string telemetry);
   0
 
 let attack_cmd =
@@ -229,7 +226,7 @@ let soc_cmd =
       $ Harness.Flags.trace_out)
 
 let trace_cmd =
-  let doc = "Dump the simulation trace of a scenario" in
+  let doc = "Print the JSONL journal of a scenario" in
   let infected = Arg.(value & flag & info [ "infected" ] ~doc:"Infected scenario.") in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const dump_trace $ seed_arg $ infected)
 

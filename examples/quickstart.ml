@@ -7,8 +7,9 @@
 
 let () =
   (* Every experiment owns one context: an engine (all time below is
-     simulated virtual time, deterministic per seed), a trace, and an
-     optional telemetry sink, bundled as a Sim.Ctx and threaded down. *)
+     simulated virtual time, deterministic per seed) and an optional
+     telemetry sink (metrics and the journal), bundled as a Sim.Ctx and
+     threaded down. *)
   let ctx = Sim.Ctx.create ~seed:1 () in
   let engine = Sim.Ctx.engine ctx in
 

@@ -4,7 +4,6 @@ type policy = {
   dedup_every_n_sweeps : int;
   probe_jitter : float;
   probe_budget : int;
-  event_log_capacity : int;
 }
 
 let default_policy =
@@ -14,7 +13,6 @@ let default_policy =
     dedup_every_n_sweeps = 4;
     probe_jitter = 0.2;
     probe_budget = max_int;
-    event_log_capacity = 1024;
   }
 
 type tenant_state = {
@@ -54,32 +52,18 @@ let event_to_string = function
     Printf.sprintf "[sweep %d] %s: probe deferred: scan-window budget exhausted" sweep
       tenant
 
-(* Bounded event log: a ring over the policy's capacity. The operator's
-   alerting pipeline consumes events as they are returned from
-   [sweep_now] / recorded into telemetry; the retained log is a
-   diagnostic tail, and overflow is accounted, not silent. *)
-type ring = {
-  slots : event option array;
-  mutable next : int;  (* next write position *)
-  mutable len : int;
-  mutable dropped : int;
-}
+let event_name = function
+  | Audit_alarm _ -> "audit_alarm"
+  | Verdict_flip _ -> "verdict_flip"
+  | Probe_failed _ -> "probe_failed"
+  | Budget_exhausted _ -> "budget_exhausted"
 
-let ring_create capacity = { slots = Array.make (max 1 capacity) None; next = 0; len = 0; dropped = 0 }
-
-let ring_push r ev =
-  let cap = Array.length r.slots in
-  if r.len = cap then r.dropped <- r.dropped + 1 else r.len <- r.len + 1;
-  r.slots.(r.next) <- Some ev;
-  r.next <- (r.next + 1) mod cap
-
-let ring_to_list r =
-  let cap = Array.length r.slots in
-  let start = (r.next - r.len + cap) mod cap in
-  List.init r.len (fun i ->
-      match r.slots.((start + i) mod cap) with
-      | Some ev -> ev
-      | None -> assert false)
+let event_sweep = function
+  | Audit_alarm { sweep; _ }
+  | Verdict_flip { sweep; _ }
+  | Probe_failed { sweep; _ }
+  | Budget_exhausted { sweep; _ } ->
+    sweep
 
 type registered = {
   mutable env : unit -> Dedup_detector.environment;
@@ -105,7 +89,6 @@ type t = {
   tenants : (string, registered) Hashtbl.t;
   mutable tenant_order_rev : string list;  (* registration order, newest first *)
   mutable sweeps : int;
-  log : ring;
   mutable sweep_acc : event list option;  (* events of an in-flight sweep_now *)
   mutable active : bool;
   mutable monitoring : bool;
@@ -116,7 +99,6 @@ type t = {
   (* telemetry handles; physically [None] when the host has no sink *)
   m_probe_failures : Sim.Telemetry.counter;
   m_budget : Sim.Telemetry.counter;
-  m_dropped : Sim.Telemetry.counter;
   m_tenants : Sim.Telemetry.gauge;
   m_probe_latency : Sim.Telemetry.summary;
   m_ttd : Sim.Telemetry.summary;
@@ -132,7 +114,6 @@ let create ?(policy = default_policy) ctx host =
     tenants = Hashtbl.create 8;
     tenant_order_rev = [];
     sweeps = 0;
-    log = ring_create policy.event_log_capacity;
     sweep_acc = None;
     active = false;
     monitoring = false;
@@ -143,7 +124,6 @@ let create ?(policy = default_policy) ctx host =
     m_probe_failures =
       Sim.Telemetry.counter tel ~component:"detector" "probe_failures_total";
     m_budget = Sim.Telemetry.counter tel ~component:"detector" "budget_exhausted_total";
-    m_dropped = Sim.Telemetry.counter tel ~component:"detector" "events_dropped_total";
     m_tenants = Sim.Telemetry.gauge tel ~component:"detector" "tenants";
     m_probe_latency = Sim.Telemetry.summary tel ~component:"detector" "probe_latency_ns";
     m_ttd = Sim.Telemetry.summary tel ~component:"detector" "time_to_detect_ns";
@@ -151,10 +131,16 @@ let create ?(policy = default_policy) ctx host =
 
 let tenant_order t = List.rev t.tenant_order_rev
 
+(* Every event becomes one journal entry on the host's sink, named after
+   its constructor; [event_to_string] is its only rendering. *)
 let emit t ev =
-  let dropped_before = t.log.dropped in
-  ring_push t.log ev;
-  if t.log.dropped > dropped_before then Sim.Telemetry.incr t.m_dropped;
+  let sink = Vmm.Hypervisor.telemetry t.host in
+  if Sim.Telemetry.enabled sink then
+    Sim.Telemetry.event sink ~component:"detector" ~name:(event_name ev)
+      ~at:(Sim.Ctx.now t.ctx)
+      ~fields:
+        [ ("sweep", string_of_int (event_sweep ev)); ("detail", event_to_string ev) ]
+      ();
   (match t.sweep_acc with
   | Some evs -> t.sweep_acc <- Some (ev :: evs)
   | None -> ());
@@ -412,8 +398,6 @@ let stop t =
     (tenant_order t)
 
 let sweeps_run t = t.sweeps
-let events t = ring_to_list t.log
-let events_dropped t = t.log.dropped
 let budget_deferrals t = t.budget_deferrals
 
 let tenant_state t name =

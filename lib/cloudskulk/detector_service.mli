@@ -23,11 +23,15 @@
     ({!event.Budget_exhausted}, {!budget_deferrals}, and the
     [detector_budget_exhausted_total] counter).
 
-    Events land in a bounded ring ({!events}; overflow counted by
-    {!events_dropped}), and verdicts/latencies stream into the host's
-    telemetry sink as the service runs: [detector_probes_total{verdict}]
-    counters plus [detector_probe_latency_ns] and
-    [detector_time_to_detect_ns] quantile summaries.
+    Events are returned by {!sweep_now}, streamed to {!set_event_hook},
+    and written to the host's journal ({!Sim.Telemetry.event}) as
+    [detector] entries named after the constructor ([audit_alarm],
+    [verdict_flip], [probe_failed], [budget_exhausted]) with [sweep] and
+    [detail] (the {!event_to_string} rendering) fields. Verdicts and
+    latencies stream into the same sink as the service runs:
+    [detector_probes_total{verdict}] counters plus
+    [detector_probe_latency_ns] and [detector_time_to_detect_ns]
+    quantile summaries.
 
     See examples/soc_monitoring.ml for the inline version of the same
     idea. *)
@@ -49,9 +53,6 @@ type policy = {
   probe_budget : int;
       (** maximum dedup probes per scan window; excess probes are
           deferred to the next window (default [max_int]: unbounded) *)
-  event_log_capacity : int;
-      (** retained events in the ring buffer (default 1024); the oldest
-          are dropped first and counted in {!events_dropped} *)
 }
 
 val default_policy : policy
@@ -97,9 +98,8 @@ val unregister_tenant : t -> name:string -> unit
 
 val sweep_now : t -> event list
 (** Run one sweep synchronously (advances virtual time by however long
-    the probes take); returns the events it raised — including any that
-    overflowed out of the retained ring. Each call is its own scan
-    window for budget purposes. *)
+    the probes take); returns the events it raised. Each call is its own
+    scan window for budget purposes. *)
 
 val start : t -> unit
 (** Batch mode: sweep on the policy's cadence until {!stop}. *)
@@ -119,19 +119,12 @@ val pull_probes_forward : t -> unit
 
 val set_event_hook : t -> (event -> unit) option -> unit
 (** Stream every event to [hook] as it is emitted (in addition to the
-    retained ring). The fleet layer uses this to forward verdict flips
+    journal). The fleet layer uses this to forward verdict flips
     to a datacenter SOC through shard mailboxes; the hook runs on the
     host's own domain, so it must only touch host-local state. *)
 
 val stop : t -> unit
 val sweeps_run : t -> int
-
-val events : t -> event list
-(** Retained events, oldest first — at most [event_log_capacity] of
-    them (see {!events_dropped}). *)
-
-val events_dropped : t -> int
-(** Events pushed out of the ring by overflow. *)
 
 val budget_deferrals : t -> int
 (** Total probes deferred by the per-window budget. *)

@@ -127,12 +127,10 @@ let run ?config ctx ~host ~registry ~target_name =
   in
   (* Step 3: nested hypervisor + matching destination, paused on BBBB. *)
   let s = Sim.Engine.now engine in
-  (* The nested hypervisor is created through a quiet context: same
-     world, same sink, but a private throwaway trace - the rootkit's
-     machinery leaves no records in the host's own trace. *)
+  (* The nested hypervisor's journal entries carry [hv=guestx-kvm]; the
+     host hypervisor's own view of the install is a filter on [hv]. *)
   (match
-     Vmm.Hypervisor.create_nested ~use_vtx:cfg.use_vtx (Sim.Ctx.quiet ctx) ~vm:guestx
-       ~name:"guestx-kvm"
+     Vmm.Hypervisor.create_nested ~use_vtx:cfg.use_vtx ctx ~vm:guestx ~name:"guestx-kvm"
    with
   | Error e -> teardown_guestx e
   | Ok nested_hv -> (

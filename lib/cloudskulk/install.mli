@@ -78,8 +78,8 @@ val run :
 (** Execute the full installation. On failure, partial artifacts
     (a launched GuestX, a registered endpoint) are torn down. A
     non-trivial {!Sim.Ctx.faults} profile on the context overrides the
-    config's [faults]; the nested hypervisor is built under
-    {!Sim.Ctx.quiet} so it leaves no records in the host's trace. *)
+    config's [faults]. The nested hypervisor's journal entries carry
+    [hv=guestx-kvm], apart from the host hypervisor's own. *)
 
 val installation_time : report -> Sim.Time.t
 (** Dominated by the live-migration step, as the paper observes. *)

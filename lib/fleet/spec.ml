@@ -168,7 +168,6 @@ let detector_policy t =
     dedup_every_n_sweeps = t.dedup_every_n_sweeps;
     probe_pages = t.probe_pages;
     probe_budget = t.probe_budget;
-    event_log_capacity = 64;
   }
 
 let rack_of t host = host * t.racks / t.hosts

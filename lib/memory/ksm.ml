@@ -41,7 +41,7 @@ type t = {
   engine : Sim.Engine.t;
   table : Frame_table.t;
   config : config;
-  trace : Sim.Trace.t option;
+  telemetry : Sim.Telemetry.t option;
   (* registration-ordered slots, [slots.(0 .. n_slots - 1)]; kept as a
      doubling array so [register] is amortized O(1) and the scan cursor
      indexes it without rebuilding anything per page *)
@@ -81,7 +81,7 @@ let create ?(config = default_config) ctx table =
     engine;
     table;
     config;
-    trace = Some (Sim.Ctx.trace ctx);
+    telemetry;
     slots = [||];
     n_slots = 0;
     stable = Int_tbl.create 4096;
@@ -101,10 +101,9 @@ let create ?(config = default_config) ctx table =
       Sim.Telemetry.counter telemetry ~component:"ksm" "pages_volatile_skipped_total";
   }
 
-let emit t fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some tr -> Sim.Trace.emitf tr (Sim.Engine.now t.engine) Sim.Trace.Info ~component:"ksm" fmt
+let journal t name fields =
+  Sim.Telemetry.event t.telemetry ~component:"ksm" ~name ~at:(Sim.Engine.now t.engine) ~fields
+    ()
 
 let slot_index t space =
   let rec go i =
@@ -134,7 +133,8 @@ let register t space =
     end;
     t.slots.(t.n_slots) <- slot;
     t.n_slots <- t.n_slots + 1;
-    emit t "registered %s (%d pages)" (Address_space.name space) (Address_space.pages space)
+    journal t "registered"
+      [ ("space", Address_space.name space); ("pages", string_of_int pages) ]
   end
 
 let unregister t space =
@@ -281,7 +281,10 @@ let complete_pass t =
      lose the merge partners they advertise. Entries are re-validated by
      content on every hit, which keeps staleness harmless. *)
   if not t.config.incremental then Int_tbl.reset t.unstable;
-  emit t "full pass %d complete (%d merges so far)" t.full_scans t.merges
+  (* once per pass: skip building the fields when nothing records them *)
+  if Sim.Telemetry.enabled t.telemetry then
+    journal t "pass"
+      [ ("pass", string_of_int t.full_scans); ("merges", string_of_int t.merges) ]
 
 let advance_cursor t =
   if t.n_slots > 0 then begin

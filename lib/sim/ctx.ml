@@ -1,32 +1,28 @@
 (* The per-instance simulation context. One value carries everything a
    substrate constructor used to take as separate optionals: the engine
-   (clock + RNG root), the trace, the telemetry sink, and the fault
-   plan. Forking rebuilds the engine from the stored seed, so a forked
+   (clock + RNG root), the telemetry sink (metrics and journal), and the
+   fault plan. Forking rebuilds the engine from the stored seed, so a forked
    context replays the exact event/RNG schedule of a fresh one. *)
 
 type t = {
   seed : int;
   engine : Engine.t;
-  trace : Trace.t;
   telemetry : Telemetry.t option;
   faults : Fault.profile;
 }
 
 let create ?(seed = 42) ?telemetry ?(faults = Fault.none) () =
-  { seed; engine = Engine.create ~seed (); trace = Trace.create (); telemetry; faults }
+  { seed; engine = Engine.create ~seed (); telemetry; faults }
 
 let seed t = t.seed
 let engine t = t.engine
-let trace t = t.trace
 let telemetry t = t.telemetry
 let faults t = t.faults
 let now t = Engine.now t.engine
 let fork_rng t = Engine.fork_rng t.engine
 
-let fork t = { t with engine = Engine.create ~seed:t.seed (); trace = Trace.create () }
-
-let with_seed t seed =
-  { t with seed; engine = Engine.create ~seed (); trace = Trace.create () }
+let fork t = { t with engine = Engine.create ~seed:t.seed () }
+let with_seed t seed = { t with seed; engine = Engine.create ~seed () }
 
 let with_telemetry t telemetry = { t with telemetry }
 
@@ -46,8 +42,3 @@ let fork_member t ~member =
          (Int64.mul (Int64.of_int (member + 1)) 0x9E3779B97F4A7C15L))
   in
   with_seed t (Int64.to_int (Int64.shift_right_logical z 2))
-
-(* Same world, private trace: actions taken through the quiet context
-   advance the shared clock but leave no record in the instance's
-   trace - the stealth branch of an install uses exactly this. *)
-let quiet t = { t with trace = Trace.create () }

@@ -1,11 +1,11 @@
 (** The per-instance simulation context.
 
     A [Ctx.t] bundles the engine (virtual clock + deterministic RNG
-    root), the event trace, the optional telemetry sink, and the fault
-    profile for one simulation instance. Substrate constructors across
+    root), the optional telemetry sink (metrics and journal), and the
+    fault profile for one simulation instance. Substrate constructors across
     [lib/] take a context instead of a sprawl of
     [?seed ?telemetry ?faults] optionals; anything reachable from one
-    context shares one clock, one trace, and one sink.
+    context shares one clock and one sink.
 
     Contexts remember the seed they were built from, so {!fork} and
     {!with_seed} can mint sibling instances that are deterministic
@@ -16,14 +16,13 @@ type t
 
 val create : ?seed:int -> ?telemetry:Telemetry.t -> ?faults:Fault.profile -> unit -> t
 (** [create ()] is a fresh context: a new engine seeded with [seed]
-    (default 42), an empty trace, no telemetry sink, and the
+    (default 42), no telemetry sink, and the
     {!Fault.none} profile. *)
 
 val seed : t -> int
 (** The seed this context's engine was created from. *)
 
 val engine : t -> Engine.t
-val trace : t -> Trace.t
 val telemetry : t -> Telemetry.t option
 val faults : t -> Fault.profile
 
@@ -36,8 +35,7 @@ val fork_rng : t -> Rng.t
 
 val fork : t -> t
 (** [fork t] is a sibling instance: a {e fresh} engine re-created from
-    [seed t] and an empty trace, sharing [t]'s telemetry sink and fault
-    profile. Building two worlds from forks of the same context gives
+    [seed t], sharing [t]'s telemetry sink and fault profile. Building two worlds from forks of the same context gives
     each the byte-identical event/RNG schedule a fresh [create] would. *)
 
 val with_seed : t -> int -> t
@@ -55,9 +53,4 @@ val fork_member : t -> member:int -> t
 
 val with_telemetry : t -> Telemetry.t option -> t
 (** [with_telemetry t sink] is [t] with its telemetry sink replaced -
-    the engine, trace, and clock are shared, not forked. *)
-
-val quiet : t -> t
-(** [quiet t] shares [t]'s engine (and clock, and sink) but writes to a
-    private throwaway trace: actions taken through it advance the world
-    without leaving records in [trace t]. *)
+    the engine and clock are shared, not forked. *)

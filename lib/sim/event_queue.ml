@@ -10,7 +10,7 @@
    is O(1) amortised, with no per-event hashing.
 
    Determinism. The external contract is identical to the binary heap
-   this replaces ({!Event_heap}): events come out ordered by
+   this replaces (kept as [Event_heap] in test/oracle/): events come out ordered by
    [(time, seq)] where [seq] is the push order. The wheel never needs to
    preserve insertion order internally: when a level-0 slot's window
    becomes current, its due entries are sorted by [(time, seq)] - a

@@ -1,10 +1,10 @@
-(* Labelled metrics registry plus span-based timing.
+(* Labelled metrics registry plus the simulator's one journal.
 
    Everything here is deterministic by construction: values are driven
-   by simulation events, spans carry virtual {!Time.t} instants, and the
-   exporters order their output by sorted series name - never by hash
-   order or wall clock. A sink is threaded through the substrate as a
-   [t option] mirroring the [?trace] idiom; handles created against
+   by simulation events, journal entries carry virtual {!Time.t}
+   instants, and the exporters order their output by sorted series name
+   - never by hash order or wall clock. A sink is threaded through the
+   substrate as a [t option] (inside {!Ctx.t}); handles created against
    [None] are physically [None] and every bump on them is a single
    match, so a run without telemetry does no extra work and allocates
    nothing on the hot path. *)
@@ -27,13 +27,13 @@ type summ = {
 
 type kind = Counter of cell | Gauge of cell | Histogram of hist | Summary of summ
 
-type entry = {
+type series = {
   base : string;
   labels : labels;
   kind : kind;
 }
 
-type span_record = {
+type entry = {
   component : string;
   name : string;
   start : Time.t;
@@ -42,8 +42,8 @@ type span_record = {
 }
 
 type t = {
-  series : (string, entry) Hashtbl.t;
-  spans : span_record Queue.t;
+  series : (string, series) Hashtbl.t;
+  spans : entry Queue.t;
   span_capacity : int;
   mutable spans_dropped : int;
 }
@@ -235,6 +235,11 @@ let span sink ~component ~name ~start ~stop ?(fields = []) () =
   | None -> ()
   | Some t -> push_span t { component; name; start; stop; fields }
 
+let event sink ~component ~name ~at ?(fields = []) () =
+  match sink with
+  | None -> ()
+  | Some t -> push_span t { component; name; start = at; stop = at; fields }
+
 let with_span sink ~now ~component ~name ?(fields = []) f =
   match sink with
   | None -> f ()
@@ -247,6 +252,7 @@ let with_span sink ~now ~component ~name ?(fields = []) f =
 let series_count t = Hashtbl.length t.series
 let spans_recorded t = Queue.length t.spans
 let spans_dropped t = t.spans_dropped
+let entries t = List.of_seq (Queue.to_seq t.spans)
 
 let value t key =
   match Hashtbl.find_opt t.series key with
@@ -394,17 +400,14 @@ let pp_jsonl ppf t =
       Format.fprintf ppf "{\"component\":\"%s\",\"name\":\"%s\",\"start_ns\":%Ld,\"end_ns\":%Ld"
         (json_escape s.component) (json_escape s.name) (Time.to_ns s.start)
         (Time.to_ns s.stop);
-      if s.fields <> [] then begin
-        Format.pp_print_string ppf ",\"fields\":{";
-        List.iteri
-          (fun i (k, v) ->
-            Format.fprintf ppf "%s\"%s\":\"%s\""
-              (if i > 0 then "," else "")
-              (json_escape k) (json_escape v))
-          s.fields;
-        Format.pp_print_char ppf '}'
-      end;
-      Format.fprintf ppf "}@\n")
+      Format.pp_print_string ppf ",\"fields\":{";
+      List.iteri
+        (fun i (k, v) ->
+          Format.fprintf ppf "%s\"%s\":\"%s\""
+            (if i > 0 then "," else "")
+            (json_escape k) (json_escape v))
+        s.fields;
+      Format.fprintf ppf "}}@\n")
     t.spans;
   (* Summary series follow the spans, one object per series in sorted
      order; an empty summary has no meaningful quantiles (and [nan] is

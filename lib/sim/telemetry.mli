@@ -1,40 +1,45 @@
-(** Labelled metrics registry and span-based timing.
+(** Labelled metrics registry and the simulator's journal.
 
     A sink collects two kinds of observation from the simulated stack:
 
     - {b metrics} - monotonic counters, gauges, and fixed-bucket
       histograms, keyed by [component_name{label="value",...}] exactly as
       in the Prometheus exposition format;
-    - {b spans} - named intervals of {e simulation} time with structured
-      [key=value] fields, exported as one JSON object per line.
+    - {b the journal} - one bounded, ordered log of named {e spans}
+      (intervals of simulation time) and {e events} (instants), each with
+      structured [key=value] fields, exported as one JSON object per
+      line. It is the only record of what the stack did: VM state
+      changes, hypervisor launches and kills, KSM passes, detector
+      events, and timed phases all land here.
 
-    The sink is threaded through constructors as a [t option], mirroring
-    the [?trace] idiom used everywhere in [lib/]. Instrument code by
-    creating a handle once ({!counter}, {!gauge}, {!histogram}) and
-    bumping it on the hot path: a handle created against [None] is a
-    physical [None], so the disabled case is a single pattern match with
-    no allocation and no hashing - strictly zero-cost.
+    The sink is threaded through the stack as a [t option] carried by
+    {!Ctx.t}. Instrument code by creating a handle once ({!counter},
+    {!gauge}, {!histogram}) and bumping it on the hot path: a handle
+    created against [None] is a physical [None], so the disabled case is
+    a single pattern match with no allocation and no hashing - strictly
+    zero-cost.
 
     Determinism rules (see DESIGN.md "Observability"):
     - only simulation time ({!Time.t}) ever enters the output - never the
       wall clock;
     - recording an observation must not draw from any RNG or advance the
       engine;
-    - exporters emit series in sorted order and spans in recording order,
-      so equal runs produce byte-equal exports. Per-trial sinks merged
-      with {!merge_into} in trial order (see {!Parallel.map_instrumented})
-      make exports independent of worker count. *)
+    - exporters emit series in sorted order and journal entries in
+      recording order, so equal runs produce byte-equal exports.
+      Per-trial sinks merged with {!merge_into} in trial order (see
+      {!Parallel.map_ctx}) make exports independent of worker count. *)
 
 type t
-(** A telemetry sink: a metrics registry plus a bounded span buffer. *)
+(** A telemetry sink: a metrics registry plus the bounded journal. *)
 
 type labels = (string * string) list
 (** Label pairs. Keys are sanitised to [[a-zA-Z_][a-zA-Z0-9_]*] and
     sorted, so label order at the call site does not matter. *)
 
 val create : ?span_capacity:int -> unit -> t
-(** [span_capacity] (default 65536) bounds retained spans; the oldest are
-    dropped first once exceeded (see {!spans_dropped}). *)
+(** [span_capacity] (default 65536) bounds retained journal entries
+    (spans and events alike); the oldest are dropped first once exceeded
+    (see {!spans_dropped}). *)
 
 val create_like : t -> t
 (** An empty sink with the same configuration - used for per-trial child
@@ -95,7 +100,15 @@ val summary :
 val record : summary -> float -> unit
 (** Record one observation into the summary's sketch. *)
 
-(** {1 Spans} *)
+(** {1 Journal} *)
+
+type entry = {
+  component : string;
+  name : string;
+  start : Time.t;
+  stop : Time.t;  (** equal to [start] for an {!event} *)
+  fields : labels;  (** in recording order, merge tags last *)
+}
 
 val span :
   t option -> component:string -> name:string -> start:Time.t -> stop:Time.t ->
@@ -111,11 +124,25 @@ val with_span :
     span from the sim-time before to the sim-time after. With a [None]
     sink this is exactly [f ()]. If [f] raises, no span is recorded. *)
 
+val event :
+  t option -> component:string -> name:string -> at:Time.t -> ?fields:labels -> unit ->
+  unit
+(** Record an instant: a journal entry with [start = stop = at], in the
+    same bounded queue, merge path and JSONL schema as spans. Nothing
+    happens with a [None] sink; call sites that would build [fields] on
+    a hot path guard the call with {!enabled}. *)
+
+val entries : t -> entry list
+(** The retained journal, oldest first. *)
+
 (** {1 Introspection} *)
 
 val series_count : t -> int
 val spans_recorded : t -> int
+(** Retained journal entries. *)
+
 val spans_dropped : t -> int
+(** Journal entries evicted by the capacity bound. *)
 
 val value : t -> string -> float option
 (** [value t key] is the current value of the counter or gauge whose
@@ -147,8 +174,9 @@ val merge_into : into:t -> ?span_fields:labels -> t -> unit
     gauges take the child's value, histograms add bucket-wise (raising
     [Invalid_argument] if bucket bounds differ), summaries merge their
     sketches (raising [Invalid_argument] if the quantile sets differ),
-    and spans are appended in order with [span_fields] appended to each
-    span's fields (used to tag spans with their trial index).
+    and journal entries are appended in order with [span_fields]
+    appended to each entry's fields (used to tag entries with their
+    trial or member index).
     Deterministic given a fixed merge order. *)
 
 (** {1 Exporters} *)
@@ -161,9 +189,9 @@ val pp_prometheus : Format.formatter -> t -> unit
 val prometheus_string : t -> string
 
 val pp_jsonl : Format.formatter -> t -> unit
-(** One JSON object per span, in recording order:
-    [{"component":...,"name":...,"start_ns":...,"end_ns":...,"fields":{...}}],
-    followed by one object per summary series in sorted order:
+(** One JSON object per journal entry, in recording order:
+    [{"component":...,"name":...,"start_ns":...,"end_ns":...,"fields":{...}}]
+    ([fields] is always present, [{}] when empty), followed by one object per summary series in sorted order:
     [{"summary":...,"count":...,"sum":...,"quantiles":{...}}] (the
     [quantiles] object is empty for an empty summary). *)
 

@@ -16,7 +16,6 @@ type t = {
   uplink : Net.Fabric.switch;
   gateway : Net.Fabric.Node.t;
   ksm : Memory.Ksm.t option;
-  trace : Sim.Trace.t option;
   telemetry : Sim.Telemetry.t option;
   m_kills : Sim.Telemetry.counter;
   g_vms : Sim.Telemetry.gauge;
@@ -27,11 +26,10 @@ type t = {
   mutable next_vm_index : int;
 }
 
-let emit t fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some tr ->
-    Sim.Trace.emitf tr (Sim.Engine.now t.engine) Sim.Trace.Info ~component:("hv:" ^ t.hv_name) fmt
+let journal t name fields =
+  if Sim.Telemetry.enabled t.telemetry then
+    Sim.Telemetry.event t.telemetry ~component:"hv" ~name ~at:(Sim.Engine.now t.engine)
+      ~fields:(("hv", t.hv_name) :: fields) ()
 
 let create_l0 ?(ram_gb = 16) ?(ksm_config = Memory.Ksm.default_config) ctx ~name ~uplink
     ~addr =
@@ -59,7 +57,6 @@ let create_l0 ?(ram_gb = 16) ?(ksm_config = Memory.Ksm.default_config) ctx ~name
     uplink;
     gateway;
     ksm = Some ksm;
-    trace = Some (Sim.Ctx.trace ctx);
     telemetry;
     m_kills =
       Sim.Telemetry.counter telemetry ~labels:[ ("hv", name) ] ~component:"vmm" "vm_kills_total";
@@ -106,7 +103,6 @@ let create_nested ?(use_vtx = true) ctx ~vm ~name =
           uplink = switch;
           gateway;
           ksm = None;
-          trace = Some (Sim.Ctx.trace ctx);
           telemetry;
           m_kills =
             Sim.Telemetry.counter telemetry ~labels:[ ("hv", name) ] ~component:"vmm"
@@ -131,7 +127,6 @@ let uplink t = t.uplink
 let gateway t = t.gateway
 let ksm t = t.ksm
 let frame_table t = match t.backing with Physical ft -> Some ft | Guest _ -> None
-let trace t = t.trace
 let telemetry t = t.telemetry
 let vms t = t.vm_list
 let find_vm t vm_name = List.find_opt (fun vm -> String.equal (Vm.name vm) vm_name) t.vm_list
@@ -258,7 +253,13 @@ let launch t (config : Qemu_config.t) =
            ~labels:[ ("level", string_of_int (Level.to_int (Vm.level vm))) ]
            ~component:"vmm" "vm_launches_total");
       Sim.Telemetry.set t.g_vms (float_of_int (List.length t.vm_list));
-      emit t "launched %s (pid %d, addr %s, %a)" vm_name proc.pid addr Level.pp (Vm.level vm);
+      journal t "launched"
+        [
+          ("vm", vm_name);
+          ("pid", string_of_int proc.pid);
+          ("addr", addr);
+          ("level", string_of_int (Level.to_int (Vm.level vm)));
+        ];
       Ok vm
 
 let kill_vm t vm =
@@ -277,7 +278,7 @@ let kill_vm t vm =
     release_ram t (Vm.ram vm);
     Sim.Telemetry.incr t.m_kills;
     Sim.Telemetry.set t.g_vms (float_of_int (List.length t.vm_list));
-    emit t "killed %s" (Vm.name vm)
+    journal t "killed" [ ("vm", Vm.name vm) ]
   end
 
 let image t name = Hashtbl.find_opt t.images name

@@ -29,7 +29,6 @@ type t = {
   disk : Disk_image.t;
   mutable qemu_pid : Process_table.pid;
   addr : Net.Packet.addr;
-  trace : Sim.Trace.t option;
   telemetry : Sim.Telemetry.t option;
   m_exits : Sim.Telemetry.counter;
   m_fanout : Sim.Telemetry.counter;
@@ -71,7 +70,6 @@ let make ctx ~config ~level ~ram ~disk ~qemu_pid ~addr =
     disk;
     qemu_pid;
     addr;
-    trace = Some (Sim.Ctx.trace ctx);
     telemetry;
     m_exits = Sim.Telemetry.counter telemetry ~labels:level_label ~component:"vmm" "exits_total";
     m_fanout =
@@ -104,13 +102,16 @@ let make ctx ~config ~level ~ram ~disk ~qemu_pid ~addr =
     spoofs_benchmarks = false;
   }
 
-let emit t fmt =
-  match t.trace with
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  | Some tr ->
-    Sim.Trace.emitf tr (Sim.Engine.now t.engine) Sim.Trace.Info
-      ~component:("vm:" ^ t.config.Qemu_config.vm_name)
-      fmt
+(* Journal entries carry the VM's level, so an installed CloudSkulk's
+   L1 and L2 [guest0] can be told apart. *)
+let journal t name fields =
+  if Sim.Telemetry.enabled t.telemetry then
+    Sim.Telemetry.event t.telemetry ~component:"vm" ~name ~at:(Sim.Engine.now t.engine)
+      ~fields:
+        (("vm", t.config.Qemu_config.vm_name)
+        :: ("level", string_of_int (Level.to_int t.level))
+        :: fields)
+      ()
 
 let name t = t.config.Qemu_config.vm_name
 let engine t = t.engine
@@ -143,7 +144,7 @@ let state t = t.state
 let transition t ~from ~to_ what =
   if List.exists (fun s -> s = t.state) from then begin
     t.state <- to_;
-    emit t "%s (now %s)" what (state_to_string to_);
+    journal t (state_to_string to_) [ ("op", what) ];
     Ok ()
   end
   else
@@ -159,7 +160,7 @@ let complete_incoming t = transition t ~from:[ Incoming ] ~to_:Running "complete
 let stop t =
   if t.state <> Stopped then begin
     t.state <- Stopped;
-    emit t "stopped"
+    journal t "stopped" []
   end
 
 let reboot_guest t =
@@ -174,7 +175,7 @@ let reboot_guest t =
     boot_processes t.guest_processes;
     Hashtbl.reset t.loaded_files;
     t.next_file_page <- Memory.Address_space.pages t.ram / 4;
-    emit t "guest OS rebooted";
+    journal t "rebooted" [];
     Ok ()
   end
 
@@ -193,7 +194,10 @@ let load_file t file =
     t.next_file_page <- t.next_file_page + file_pages;
     Memory.File_image.load_into file t.ram ~offset;
     Hashtbl.replace t.loaded_files fname (offset, file_pages);
-    emit t "loaded %s (%d pages) at page %d" fname file_pages offset;
+    (* no file name: the detector's fresh-file names count process-wide,
+       so they would make the journal depend on --jobs *)
+    journal t "loaded"
+      [ ("pages", string_of_int file_pages); ("offset", string_of_int offset) ];
     Ok offset
   end
 

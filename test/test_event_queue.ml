@@ -1,6 +1,6 @@
 (* Differential and model-based tests for the timing-wheel event queue
    (Sim.Event_queue) against two oracles: a sorted-list model and the
-   binary-heap reference implementation (Sim.Event_heap). The wheel and
+   binary-heap reference implementation (Event_heap). The wheel and
    the heap promise identical observable behaviour - (time, seq) order,
    FIFO on equal timestamps, lazy cancellation - so any divergence under
    random push/cancel/pop/peek interleavings is a bug in one of them. *)
@@ -135,7 +135,7 @@ let model_props =
 let differential_drain ~seed ~ops:n_ops =
   let r = Sim.Rng.create seed in
   let wheel = Sim.Event_queue.create () in
-  let heap = Sim.Event_heap.create () in
+  let heap = Event_heap.create () in
   let wh = ref [] and hh = ref [] in
   let check_eq what a b = Alcotest.(check int64) what a b in
   for _ = 1 to n_ops do
@@ -150,16 +150,16 @@ let differential_drain ~seed ~ops:n_ops =
       in
       let t = Sim.Time.ns tns in
       wh := Sim.Event_queue.push wheel t tns :: !wh;
-      hh := Sim.Event_heap.push heap t tns :: !hh
+      hh := Event_heap.push heap t tns :: !hh
     | c when c < 60 ->
       let nw = List.length !wh in
       if nw > 0 then begin
         let k = Sim.Rng.int r nw in
         Sim.Event_queue.cancel wheel (List.nth !wh k);
-        Sim.Event_heap.cancel heap (List.nth !hh k)
+        Event_heap.cancel heap (List.nth !hh k)
       end
     | c when c < 90 -> (
-      match (Sim.Event_queue.pop wheel, Sim.Event_heap.pop heap) with
+      match (Sim.Event_queue.pop wheel, Event_heap.pop heap) with
       | None, None -> ()
       | Some (tw, vw), Some (th, vh) ->
         check_eq "pop time" (Sim.Time.to_ns th) (Sim.Time.to_ns tw);
@@ -167,14 +167,14 @@ let differential_drain ~seed ~ops:n_ops =
       | Some _, None -> Alcotest.fail "wheel popped, heap empty"
       | None, Some _ -> Alcotest.fail "heap popped, wheel empty")
     | _ -> (
-      Alcotest.(check int) "size" (Sim.Event_heap.size heap) (Sim.Event_queue.size wheel);
-      match (Sim.Event_queue.peek_time wheel, Sim.Event_heap.peek_time heap) with
+      Alcotest.(check int) "size" (Event_heap.size heap) (Sim.Event_queue.size wheel);
+      match (Sim.Event_queue.peek_time wheel, Event_heap.peek_time heap) with
       | None, None -> ()
       | Some tw, Some th -> check_eq "peek" (Sim.Time.to_ns th) (Sim.Time.to_ns tw)
       | _ -> Alcotest.fail "peek presence mismatch")
   done;
   let rec drain () =
-    match (Sim.Event_queue.pop wheel, Sim.Event_heap.pop heap) with
+    match (Sim.Event_queue.pop wheel, Event_heap.pop heap) with
     | None, None -> ()
     | Some (tw, vw), Some (th, vh) ->
       check_eq "drain time" (Sim.Time.to_ns th) (Sim.Time.to_ns tw);
@@ -297,25 +297,25 @@ let gc_tests =
         ignore (Sim.Event_queue.pop q);
         Alcotest.(check bool) "payload collectable" true (gone w));
     Alcotest.test_case "heap releases a popped payload while others remain" `Quick (fun () ->
-        let q = Sim.Event_heap.create () in
+        let q = Event_heap.create () in
         let p = ref (Bytes.create 64) in
         let w = weak_of !p in
-        ignore (Sim.Event_heap.push q (Sim.Time.ms 1.) !p);
+        ignore (Event_heap.push q (Sim.Time.ms 1.) !p);
         for i = 2 to 4 do
-          ignore (Sim.Event_heap.push q (Sim.Time.ms (float_of_int i)) (Bytes.create 8))
+          ignore (Event_heap.push q (Sim.Time.ms (float_of_int i)) (Bytes.create 8))
         done;
         p := Bytes.create 0;
-        ignore (Sim.Event_heap.pop q);
+        ignore (Event_heap.pop q);
         (* three events still queued: the vacated tail slot must not pin
            the popped payload *)
         Alcotest.(check bool) "payload collectable" true (gone w));
     Alcotest.test_case "heap releases everything when drained" `Quick (fun () ->
-        let q = Sim.Event_heap.create () in
+        let q = Event_heap.create () in
         let p = ref (Bytes.create 64) in
         let w = weak_of !p in
-        ignore (Sim.Event_heap.push q (Sim.Time.ms 1.) !p);
+        ignore (Event_heap.push q (Sim.Time.ms 1.) !p);
         p := Bytes.create 0;
-        ignore (Sim.Event_heap.pop q);
+        ignore (Event_heap.pop q);
         Alcotest.(check bool) "payload collectable" true (gone w));
   ]
 

@@ -1,5 +1,5 @@
 (* Cross-cutting integration tests: the full attack story end to end,
-   multi-VM hosts, deeper nesting, trace-based causality checks, and
+   multi-VM hosts, deeper nesting, journal-based causality checks, and
    failure injection. *)
 
 let target_config ?(name = "guest0") ?(memory_mb = 64) () =
@@ -7,11 +7,11 @@ let target_config ?(name = "guest0") ?(memory_mb = 64) () =
   Vmm.Qemu_config.with_hostfwd c [ (2222, 22) ]
 
 let mk_world ?(seed = 42) () =
-  let ctx = Sim.Ctx.create ~seed () in
-  let trace = Sim.Ctx.trace ctx in
+  let journal = Sim.Telemetry.create () in
+  let ctx = Sim.Ctx.create ~seed ~telemetry:journal () in
   let uplink = Net.Fabric.Switch.create ctx ~name:"uplink" ~link:Net.Link.lan_1gbe in
   let host = Vmm.Hypervisor.create_l0 ctx ~name:"host" ~uplink ~addr:"192.168.1.100" in
-  (ctx, trace, uplink, host, Migration.Registry.create ())
+  (ctx, journal, uplink, host, Migration.Registry.create ())
 
 let install_exn ctx host registry =
   match Cloudskulk.Install.run ctx ~host ~registry ~target_name:"guest0" with
@@ -92,13 +92,36 @@ let story_tests =
         Alcotest.(check bool) "memory intact" true
           (Memory.Page.Content.equal c (Memory.Address_space.read (Vmm.Vm.ram bystander) 5)));
     Alcotest.test_case "trace records the attack's causal chain" `Quick (fun () ->
-        let ctx, trace, _, host, registry = mk_world () in
+        let ctx, journal, _, host, registry = mk_world () in
         ignore (Result.get_ok (Vmm.Hypervisor.launch host (target_config ())));
         ignore (install_exn ctx host registry);
-        Alcotest.(check bool) "guestx launched" true
-          (Sim.Trace.contains trace ~component:"hv:host" ~substring:"launched guestx");
-        Alcotest.(check bool) "guest0 killed" true
-          (Sim.Trace.contains trace ~component:"hv:host" ~substring:"killed guest0"));
+        (* (position, vm) of every [hv] entry [name] on hypervisor [hv] *)
+        let hv_entries hv name =
+          List.concat
+            (List.mapi
+               (fun i (e : Sim.Telemetry.entry) ->
+                 if
+                   String.equal e.component "hv"
+                   && String.equal e.name name
+                   && List.assoc_opt "hv" e.fields = Some hv
+                 then [ (i, Option.value ~default:"?" (List.assoc_opt "vm" e.fields)) ]
+                 else [])
+               (Sim.Telemetry.entries journal))
+        in
+        let vms l = List.map snd l in
+        let host_launches = hv_entries "host" "launched" in
+        let nested_launches = hv_entries "guestx-kvm" "launched" in
+        let host_kills = hv_entries "host" "killed" in
+        Alcotest.(check (list string)) "host launches" [ "guest0"; "guestx" ] (vms host_launches);
+        Alcotest.(check bool) "guest0 killed" true (List.mem "guest0" (vms host_kills));
+        Alcotest.(check (list string)) "nested launch" [ "guest0" ] (vms nested_launches);
+        (* the causal order: GuestX up, then the nested guest0, then the
+           original guest0 killed *)
+        let pos vm l = fst (List.find (fun (_, v) -> String.equal v vm) l) in
+        Alcotest.(check bool) "guestx before nested launch" true
+          (pos "guestx" host_launches < pos "guest0" nested_launches);
+        Alcotest.(check bool) "nested launch before kill" true
+          (pos "guest0" nested_launches < pos "guest0" host_kills));
     Alcotest.test_case "admin's monitor view of GuestX mimics the old guest" `Quick (fun () ->
         let ctx, _, _, host, registry = mk_world () in
         let target = Result.get_ok (Vmm.Hypervisor.launch host (target_config ())) in

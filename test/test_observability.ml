@@ -1,7 +1,7 @@
 (* The streaming observability layer: Sim.Stats.Sketch rank-error and
    determinism contracts, the sketch-backed Stats accumulator, telemetry
    summary series (registration, export, merging, --jobs independence),
-   and the detector service's bounded event ring and probe budget. *)
+   and the detector service's journal entries and probe budget. *)
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -262,14 +262,14 @@ let telemetry_tests =
         Alcotest.(check string) "jobs 1 = jobs 4" (run 1) (run 4));
   ]
 
-(* --- detector service: bounded ring, budget, monitor determinism ------- *)
+(* --- detector service: journal, budget, monitor determinism ----------- *)
 
 let target_config ?(name = "guest0") () =
   let c = { (Vmm.Qemu_config.default ~name) with Vmm.Qemu_config.memory_mb = 64 } in
   Vmm.Qemu_config.with_hostfwd c [ (2222, 22) ]
 
-let mk_world ?(seed = 42) () =
-  let ctx = Sim.Ctx.create ~seed () in
+let mk_world ?(seed = 42) ?telemetry () =
+  let ctx = Sim.Ctx.create ~seed ?telemetry () in
   let uplink = Net.Fabric.Switch.create ctx ~name:"uplink" ~link:Net.Link.lan_1gbe in
   let host = Vmm.Hypervisor.create_l0 ctx ~name:"host" ~uplink ~addr:"192.168.1.100" in
   (ctx, host)
@@ -303,13 +303,16 @@ let service_tests =
   [
     Alcotest.test_case "event ring keeps the newest events and counts drops" `Quick
       (fun () ->
-        let ctx, host = mk_world () in
-        let policy = { default_policy with event_log_capacity = 3 } in
-        let service = create ~policy ctx host in
+        let journal = Sim.Telemetry.create ~span_capacity:3 () in
+        let ctx, host = mk_world ~telemetry:journal () in
+        let service = create ctx host in
+        (* the unreachable tenant lives in a world without a sink, so the
+           host's journal holds only the service's own entries *)
+        let tenant_ctx, tenant_host = mk_world () in
         register_tenant service ~name:"ghost" ~env:(fun () ->
             {
-              Cloudskulk.Dedup_detector.ctx;
-              host;
+              Cloudskulk.Dedup_detector.ctx = tenant_ctx;
+              host = tenant_host;
               deliver_to_guest = (fun _ -> Error "agent unreachable");
               mutate_in_guest = (fun ~name:_ ~salt:_ -> Ok ());
             });
@@ -318,15 +321,27 @@ let service_tests =
         for _ = 1 to 5 do
           ignore (sweep_now service)
         done;
-        Alcotest.(check int) "ring holds capacity" 3 (List.length (events service));
-        Alcotest.(check int) "overflow counted" 2 (events_dropped service);
-        Alcotest.(check bool) "all retained are probe failures" true
-          (List.for_all (function Probe_failed _ -> true | _ -> false) (events service));
+        let entries = Sim.Telemetry.entries journal in
+        Alcotest.(check int) "journal holds capacity" 3 (List.length entries);
+        Alcotest.(check int) "overflow counted" 2 (Sim.Telemetry.spans_dropped journal);
         (* the retained tail is sweeps 3..5, oldest first *)
-        match events service with
-        | Probe_failed { sweep = 3; _ } :: _ -> ()
-        | ev :: _ -> Alcotest.failf "unexpected head: %s" (event_to_string ev)
-        | [] -> Alcotest.fail "ring empty");
+        Alcotest.(check (list (pair string (option string))))
+          "probe failures of sweeps 3..5"
+          [
+            ("detector/probe_failed", Some "3");
+            ("detector/probe_failed", Some "4");
+            ("detector/probe_failed", Some "5");
+          ]
+          (List.map
+             (fun (e : Sim.Telemetry.entry) ->
+               (e.component ^ "/" ^ e.name, List.assoc_opt "sweep" e.fields))
+             entries);
+        match entries with
+        | e :: _ ->
+          Alcotest.(check (option string)) "detail is event_to_string"
+            (Some "[sweep 3] ghost: probe failed: agent unreachable")
+            (List.assoc_opt "detail" e.fields)
+        | [] -> Alcotest.fail "journal empty");
     Alcotest.test_case "probe budget defers the second tenant to the next sweep" `Quick
       (fun () ->
         let ctx, host = mk_world () in
@@ -352,7 +367,8 @@ let service_tests =
         | None -> Alcotest.fail "tenant b missing");
     Alcotest.test_case "continuous monitor is deterministic per seed" `Quick (fun () ->
         let observe () =
-          let ctx = Sim.Ctx.create ~seed:11 () in
+          let journal = Sim.Telemetry.create () in
+          let ctx = Sim.Ctx.create ~seed:11 ~telemetry:journal () in
           let sc =
             Cloudskulk.Scenarios.infected ~customer_memory_mb:256
               ~install_config:
@@ -373,13 +389,18 @@ let service_tests =
           start_monitor service;
           ignore (Sim.Engine.run_for (Sim.Ctx.engine sctx) (Sim.Time.minutes 50.));
           stop service;
-          ( List.map event_to_string (events service),
+          ( Sim.Telemetry.jsonl_string journal,
+            List.length
+              (List.filter
+                 (fun (e : Sim.Telemetry.entry) -> String.equal e.component "detector")
+                 (Sim.Telemetry.entries journal)),
             time_to_detect service "tenant-a",
             sweeps_run service )
         in
-        let ev1, ttd1, sweeps1 = observe () in
-        let ev2, ttd2, sweeps2 = observe () in
-        Alcotest.(check (list string)) "same events" ev1 ev2;
+        let j1, detector_entries, ttd1, sweeps1 = observe () in
+        let j2, _, ttd2, sweeps2 = observe () in
+        Alcotest.(check string) "same journal" j1 j2;
+        Alcotest.(check bool) "journal has detector entries" true (detector_entries > 0);
         Alcotest.(check int) "same sweeps" sweeps1 sweeps2;
         Alcotest.(check bool) "detected" true (Option.is_some ttd1);
         Alcotest.(check bool) "same time-to-detect" true (ttd1 = ttd2));

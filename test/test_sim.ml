@@ -338,79 +338,43 @@ let engine_tests =
         Alcotest.(check int) "seven" 7 (events_processed e));
   ]
 
+(* The journal: Telemetry's bounded log of instant events and spans. *)
 let trace_tests =
-  let open Sim.Trace in
+  let open Sim.Telemetry in
   [
     Alcotest.test_case "emit and read back" `Quick (fun () ->
         let t = create () in
-        emit t (Sim.Time.ms 1.) Info ~component:"vm" "started";
-        emit t (Sim.Time.ms 2.) Warn ~component:"ksm" "slow";
-        Alcotest.(check int) "count" 2 (count t);
-        Alcotest.(check int) "find vm" 1 (List.length (find t ~component:"vm")));
-    Alcotest.test_case "contains matches substring" `Quick (fun () ->
-        let t = create () in
-        emitf t Sim.Time.zero Info ~component:"hv" "launched %s (pid %d)" "guest0" 42;
-        Alcotest.(check bool) "match" true (contains t ~component:"hv" ~substring:"guest0");
-        Alcotest.(check bool) "no match" false (contains t ~component:"hv" ~substring:"nope"));
+        event (Some t) ~component:"vm" ~name:"running" ~at:(Sim.Time.ms 1.)
+          ~fields:[ ("vm", "guest0") ] ();
+        event (Some t) ~component:"ksm" ~name:"pass" ~at:(Sim.Time.ms 2.) ();
+        match entries t with
+        | [ a; b ] ->
+          Alcotest.(check string) "component" "vm" a.component;
+          Alcotest.(check bool) "instant" true (Sim.Time.equal a.start a.stop);
+          Alcotest.(check bool) "at" true (Sim.Time.equal a.start (Sim.Time.ms 1.));
+          Alcotest.(check (list (pair string string))) "fields" [ ("vm", "guest0") ] a.fields;
+          Alcotest.(check string) "second" "pass" b.name
+        | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es));
     Alcotest.test_case "capacity drops oldest" `Quick (fun () ->
-        let t = create ~capacity:3 () in
+        let t = create ~span_capacity:3 () in
         for i = 1 to 5 do
-          emit t Sim.Time.zero Info ~component:"x" (string_of_int i)
+          event (Some t) ~component:"x" ~name:(string_of_int i) ~at:Sim.Time.zero ()
         done;
-        Alcotest.(check int) "kept 3" 3 (count t);
-        Alcotest.(check int) "dropped 2" 2 (dropped t);
-        match records t with
-        | { message; _ } :: _ -> Alcotest.(check string) "oldest kept is 3" "3" message
-        | [] -> Alcotest.fail "empty");
-    Alcotest.test_case "clear empties" `Quick (fun () ->
-        let t = create () in
-        emit t Sim.Time.zero Debug ~component:"x" "y";
-        clear t;
-        Alcotest.(check int) "empty" 0 (count t));
-    Alcotest.test_case "clear resets the dropped counter" `Quick (fun () ->
-        let t = create ~capacity:2 () in
-        for i = 1 to 5 do
-          emit t Sim.Time.zero Info ~component:"x" (string_of_int i)
-        done;
-        Alcotest.(check int) "dropped before clear" 3 (dropped t);
-        clear t;
-        Alcotest.(check int) "dropped after clear" 0 (dropped t);
-        Alcotest.(check int) "count after clear" 0 (count t);
-        (* the buffer accepts a full capacity's worth again *)
-        emit t Sim.Time.zero Info ~component:"x" "a";
-        emit t Sim.Time.zero Info ~component:"x" "b";
-        Alcotest.(check int) "refilled" 2 (count t);
-        Alcotest.(check int) "still none dropped" 0 (dropped t));
-    Alcotest.test_case "emitf formats like Printf" `Quick (fun () ->
-        let t = create () in
-        emitf t (Sim.Time.ms 3.) Warn ~component:"ksm" "pass %d merged %d pages (%.1f%%)" 7
-          120 99.5;
-        (match records t with
-        | [ r ] ->
-          Alcotest.(check string) "message" "pass 7 merged 120 pages (99.5%)" r.message;
-          Alcotest.(check string) "component" "ksm" r.component;
-          Alcotest.(check bool) "level" true (r.level = Warn)
-        | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs)));
+        Alcotest.(check (list string))
+          "newest 3, oldest first" [ "3"; "4"; "5" ]
+          (List.map (fun (e : entry) -> e.name) (entries t));
+        Alcotest.(check int) "dropped 2" 2 (spans_dropped t));
     Alcotest.test_case "find filters and preserves order" `Quick (fun () ->
         let t = create () in
-        emit t (Sim.Time.ms 1.) Info ~component:"a" "one";
-        emit t (Sim.Time.ms 2.) Info ~component:"b" "two";
-        emit t (Sim.Time.ms 3.) Info ~component:"a" "three";
-        let found = find t ~component:"a" in
+        event (Some t) ~component:"a" ~name:"one" ~at:(Sim.Time.ms 1.) ();
+        span (Some t) ~component:"b" ~name:"two" ~start:(Sim.Time.ms 1.)
+          ~stop:(Sim.Time.ms 2.) ();
+        event (Some t) ~component:"a" ~name:"three" ~at:(Sim.Time.ms 3.) ();
         Alcotest.(check (list string))
-          "messages in order" [ "one"; "three" ]
-          (List.map (fun (r : record) -> r.message) found));
-    Alcotest.test_case "contains short-circuits across capacity drops" `Quick (fun () ->
-        let t = create ~capacity:2 () in
-        emit t Sim.Time.zero Info ~component:"x" "evicted";
-        emit t Sim.Time.zero Info ~component:"x" "kept-one";
-        emit t Sim.Time.zero Info ~component:"x" "kept-two";
-        Alcotest.(check bool)
-          "evicted record not found" false
-          (contains t ~component:"x" ~substring:"evicted");
-        Alcotest.(check bool)
-          "live record found" true
-          (contains t ~component:"x" ~substring:"kept-two"));
+          "component a in order" [ "one"; "three" ]
+          (List.filter_map
+             (fun (e : entry) -> if String.equal e.component "a" then Some e.name else None)
+             (entries t)));
   ]
 
 let () =

@@ -114,6 +114,18 @@ let export_tests =
         let line = List.hd lines in
         Alcotest.(check bool) "object" true
           (String.length line > 1 && line.[0] = '{' && line.[String.length line - 1] = '}'));
+    Alcotest.test_case "jsonl writes fields on every entry, even empty" `Quick (fun () ->
+        let t = create () in
+        span (Some t) ~component:"c" ~name:"bare_span" ~start:Sim.Time.zero
+          ~stop:(Sim.Time.ms 1.) ();
+        event (Some t) ~component:"c" ~name:"bare_event" ~at:(Sim.Time.ms 2.) ();
+        Alcotest.(check (list string))
+          "both lines carry an empty fields object"
+          [
+            {|{"component":"c","name":"bare_span","start_ns":0,"end_ns":1000000,"fields":{}}|};
+            {|{"component":"c","name":"bare_event","start_ns":2000000,"end_ns":2000000,"fields":{}}|};
+          ]
+          (String.split_on_char '\n' (String.trim (jsonl_string t))));
     Alcotest.test_case "with_span wraps and skips on raise" `Quick (fun () ->
         let t = create () in
         let clock = ref Sim.Time.zero in
