@@ -124,22 +124,6 @@ let test_dirty_iter =
   Test.make ~name:"perf/dirty-fold-64k-sparse"
     (Staged.stage (fun () -> ignore (Memory.Dirty.fold_dirty d (fun acc i -> acc + i) 0)))
 
-(* The event queue's steady-state regime at low and high occupancy,
-   plus the binary-heap reference at high occupancy for comparison.
-   Each run is one schedule+expire pair on a persistent prefilled
-   queue (see Event_bench.steady_state_op). *)
-let test_event_queue_1e3 =
-  let op = Event_bench.steady_state_op Event_bench.wheel ~pending:1_000 in
-  Test.make ~name:"event_queue/schedule-expire-1e3-pending" (Staged.stage op)
-
-let test_event_queue_1e5 =
-  let op = Event_bench.steady_state_op Event_bench.wheel ~pending:100_000 in
-  Test.make ~name:"event_queue/schedule-expire-1e5-pending" (Staged.stage op)
-
-let test_event_heap_1e5 =
-  let op = Event_bench.steady_state_op Event_bench.heap ~pending:100_000 in
-  Test.make ~name:"event_queue/heap-reference-1e5-pending" (Staged.stage op)
-
 (* The quantile sketch's two hot operations: streaming inserts (every
    telemetry summary record) and the O(centroids) merge the --jobs
    fan-in performs per summary series. *)
@@ -204,9 +188,6 @@ let tests =
       test_install;
       test_ksm_scan_hot;
       test_dirty_iter;
-      test_event_queue_1e3;
-      test_event_queue_1e5;
-      test_event_heap_1e5;
       test_sketch_add;
       test_sketch_merge;
       test_fleet_small;
@@ -239,24 +220,15 @@ let scan_report () =
     sink := Memory.Dirty.fold_dirty d (fun acc i -> acc + i) !sink
   done;
   let dirty_ns = Clock.since t1 *. 1e9 /. dirty_pages in
-  (* Event-engine record: the heap rows are measured live (Event_heap is
-     the pre-overhaul implementation, kept in test/oracle/ as the
-     reference oracle), so the wheel-vs-heap speedup is an apples-to-apples number
-     from the same machine and build. *)
-  let q_ops = 1_000_000 in
-  let wheel_1e3 = Event_bench.queue_ns_per_op Event_bench.wheel ~pending:1_000 ~ops:q_ops in
-  let heap_1e3 = Event_bench.queue_ns_per_op Event_bench.heap ~pending:1_000 ~ops:q_ops in
-  let wheel_1e5 = Event_bench.queue_ns_per_op Event_bench.wheel ~pending:100_000 ~ops:q_ops in
-  let heap_1e5 = Event_bench.queue_ns_per_op Event_bench.heap ~pending:100_000 ~ops:q_ops in
-  let rescan_full = Event_bench.ksm_rescan_ns_per_dirtied_page ~incremental:false ~iters:200 in
-  let rescan_incr = Event_bench.ksm_rescan_ns_per_dirtied_page ~incremental:true ~iters:200 in
+  let rescan_full = Ksm_rescan.ns_per_dirtied_page ~incremental:false ~iters:200 in
+  let rescan_incr = Ksm_rescan.ns_per_dirtied_page ~incremental:true ~iters:200 in
   (* Quantile-sketch hot paths: streaming insert and the per-series
      merge the --jobs fan-in performs (one persistent aggregate); best
-     of 3 runs, like the event queue numbers above. Compact first: the
-     sketch paths allocate major-heap float arrays, so leftover live
-     data from the bechamel table would otherwise bill its GC slices to
-     this section (this section has no seed baseline to stay
-     comparable with, unlike the ksm/dirty numbers above). *)
+     of 3 runs. Compact first: the sketch paths allocate major-heap
+     float arrays, so leftover live data from the bechamel table would
+     otherwise bill its GC slices to this section (this section has no
+     seed baseline to stay comparable with, unlike the ksm/dirty
+     numbers above). *)
   Gc.compact ();
   let best_of3 f =
     let best = ref (f ()) in
@@ -316,7 +288,6 @@ let scan_report () =
   "workload": {
     "ksm_scan": "scan_once, 64 spaces x 256 distinct pages (16384 pages), fast config",
     "dirty_fold": "fold_dirty over 65536 pages at 1%% dirty",
-    "event_queue": "steady-state schedule+expire pairs at fixed occupancy; replacement deltas drawn from the engine period mix (90%% <=1ms packet-scale, 9%% <=100ms device-scale, 1%% <=10s housekeeping), best of 3 runs",
     "ksm_rescan": "steady-state wakeups over the 16384-page population with ~1%% (164 pages) dirtied between wakeups; cost normalised per dirtied page",
     "sketch": "Stats.Sketch (compression 128): streaming adds of 65536-value cycles; merge_into of a 4096-sample sketch into a persistent aggregate",
     "fleet": "Fleet.World.run, default churn/infection knobs: 125 hosts x 8 VMs for 30 sim-minutes (1k VMs) and 1250 hosts x 8 VMs for 10 sim-minutes (10k VMs); sharded runs use 4 shards with jobs=0 (all cores); best of N"
@@ -330,13 +301,6 @@ let scan_report () =
     "ksm_scan_minor_words_per_page": %.2f,
     "ksm_scan_ns_per_page": %.1f,
     "dirty_iter_ns_per_page": %.2f
-  },
-  "events_per_sec": {
-    "heap_reference_1e3_pending": %.0f,
-    "heap_reference_1e5_pending": %.0f,
-    "wheel_1e3_pending": %.0f,
-    "wheel_1e5_pending": %.0f,
-    "wheel_speedup_1e5_pending": %.2f
   },
   "ksm_rescan_ns_per_page": {
     "full_sweep_per_dirtied_page": %.1f,
@@ -370,9 +334,8 @@ let scan_report () =
   }
 }
 |}
-      scan_words scan_ns dirty_ns (1e9 /. heap_1e3) (1e9 /. heap_1e5) (1e9 /. wheel_1e3)
-      (1e9 /. wheel_1e5) (heap_1e5 /. wheel_1e5) rescan_full rescan_incr
-      (rescan_full /. rescan_incr) sketch_add_ns sketch_merge_ns cores
+      scan_words scan_ns dirty_ns rescan_full rescan_incr (rescan_full /. rescan_incr)
+      sketch_add_ns sketch_merge_ns cores
       fleet_1k_1.Fleet_bench.m_vms fleet_1k_1.Fleet_bench.m_events
       (Fleet_bench.events_per_sec fleet_1k_1)
       (Fleet_bench.ns_per_vm_minute fleet_1k_1)
@@ -393,10 +356,7 @@ let scan_report () =
     "\n  hot-path record (BENCH_scan.json): ksm scan %.2f minor words/page (seed: 83.02), \
      %.1f ns/page (seed: 543.5); dirty fold %.2f ns/page (seed: 4.21)\n"
     scan_words scan_ns dirty_ns;
-  Printf.printf
-    "  event queue at 1e5 pending: wheel %.0f ns/op vs heap %.0f ns/op (%.2fx); ksm rescan \
-     %.1f -> %.1f ns/dirtied page (%.2fx)\n"
-    wheel_1e5 heap_1e5 (heap_1e5 /. wheel_1e5) rescan_full rescan_incr
+  Printf.printf "  ksm rescan %.1f -> %.1f ns/dirtied page (%.2fx)\n" rescan_full rescan_incr
     (rescan_full /. rescan_incr);
   Printf.printf "  quantile sketch: add %.1f ns/sample; merge of a 4096-sample sketch %.0f ns\n"
     sketch_add_ns sketch_merge_ns;

@@ -134,16 +134,15 @@ let load_wait_probe config env ~label image =
 (* Each protocol run works with a fresh file: real deployments generate
    a new random File-A per check (Section VI-D-1), and reusing a name
    would collide with a previous run's copy still sitting in the
-   guest. Atomic, because trials may run concurrently across domains
-   and a duplicated "fresh" name would silently change behaviour. *)
-let run_counter = Atomic.make 0
-
-let fresh_name prefix = Printf.sprintf "%s-%d" prefix (Atomic.fetch_and_add run_counter 1 + 1)
+   guest. Numbered per host, so a name never depends on which other
+   trials share the process. *)
+let fresh_name env prefix =
+  Printf.sprintf "%s-%d" prefix (Vmm.Hypervisor.fresh_serial env.host)
 
 let measure_t0 ?(config = default_config) env =
   let rng = Sim.Ctx.fork_rng env.ctx in
   let lonely =
-    Memory.File_image.generate rng ~name:(fresh_name "file-t0") ~pages:config.file_pages
+    Memory.File_image.generate rng ~name:(fresh_name env "file-t0") ~pages:config.file_pages
   in
   load_wait_probe config env ~label:"t0" lonely
 
@@ -151,7 +150,7 @@ let run ?(config = default_config) env =
   let started = Sim.Ctx.now env.ctx in
   let rng = Sim.Ctx.fork_rng env.ctx in
   let file_a =
-    Memory.File_image.generate rng ~name:(fresh_name "file-a") ~pages:config.file_pages
+    Memory.File_image.generate rng ~name:(fresh_name env "file-a") ~pages:config.file_pages
   in
   if not (Memory.File_image.all_pages_distinct file_a) then
     Error "File-A generation produced duplicate pages"

@@ -91,6 +91,10 @@ type t = {
   mutable sweeps : int;
   mutable sweep_acc : event list option;  (* events of an in-flight sweep_now *)
   mutable active : bool;
+  mutable epoch : int;
+      (* bumped by every start and stop; a tick chain runs only while
+         the epoch it was started in is current, so a restart within
+         one period cannot leave the old chain ticking beside the new *)
   mutable monitoring : bool;
   mutable hook : (event -> unit) option;  (* fleet SOC event stream *)
   mutable window_start : Sim.Time.t;
@@ -116,6 +120,7 @@ let create ?(policy = default_policy) ctx host =
     sweeps = 0;
     sweep_acc = None;
     active = false;
+    epoch = 0;
     monitoring = false;
     hook = None;
     window_start = Sim.Ctx.now ctx;
@@ -341,13 +346,21 @@ let sweep_now t =
   t.sweep_acc <- None;
   events
 
+(* Mark the service active and start a periodic [tick] chain that
+   ends once a later [start], [start_monitor] or [stop] supersedes it. *)
+let activate t tick =
+  t.active <- true;
+  t.epoch <- t.epoch + 1;
+  let epoch = t.epoch in
+  Sim.Engine.periodic (Sim.Ctx.engine t.ctx) ~every:t.policy.sweep_every (fun () ->
+      let live = t.epoch = epoch in
+      if live then tick ();
+      live)
+
 let start t =
   if not t.active then begin
-    t.active <- true;
     t.monitoring <- false;
-    Sim.Engine.periodic (Sim.Ctx.engine t.ctx) ~every:t.policy.sweep_every (fun () ->
-        if t.active then ignore (sweep_now t);
-        t.active)
+    activate t (fun () -> ignore (sweep_now t))
   end
 
 (* Continuous SOC mode: the cheap audit keeps its fixed cadence (it is
@@ -368,16 +381,13 @@ let audit_tick t =
 
 let start_monitor t =
   if not t.active then begin
-    t.active <- true;
     t.monitoring <- true;
     t.window_start <- Sim.Ctx.now t.ctx;
     t.probes_in_window <- 0;
     List.iter
       (fun name -> schedule_probe t name (Sim.Time.mul (interval t) (Sim.Rng.float t.rng 1.0)))
       (tenant_order t);
-    Sim.Engine.periodic (Sim.Ctx.engine t.ctx) ~every:t.policy.sweep_every (fun () ->
-        if t.active then audit_tick t;
-        t.active)
+    activate t (fun () -> audit_tick t)
   end
 
 (* A remote SOC audit: pull every tenant's next monitor probe forward
@@ -389,6 +399,7 @@ let pull_probes_forward t =
 
 let stop t =
   t.active <- false;
+  t.epoch <- t.epoch + 1;
   t.monitoring <- false;
   List.iter
     (fun name ->

@@ -66,6 +66,10 @@ type t = {
       (* incremental mode: only count a pass when it examined something,
          so an idle scanner does not spin the pass counter *)
   mutable active : bool;
+  mutable epoch : int;
+      (* bumped by every start and stop; a tick chain runs only while
+         the epoch it was started in is current, so a restart within
+         one sleep cannot leave the old chain ticking beside the new *)
   (* pre-created handles: bumping one is a single match + float add, so
      the scan hot path stays free of per-event registry lookups *)
   m_passes : Sim.Telemetry.counter;
@@ -94,6 +98,7 @@ let create ?(config = default_config) ctx table =
     clean_skips = 0;
     scanned_since_pass = false;
     active = false;
+    epoch = 0;
     m_passes = Sim.Telemetry.counter telemetry ~component:"ksm" "scan_passes_total";
     m_scanned = Sim.Telemetry.counter telemetry ~component:"ksm" "pages_scanned_total";
     m_merged = Sim.Telemetry.counter telemetry ~component:"ksm" "pages_merged_total";
@@ -358,12 +363,17 @@ let scan_once t =
 let start t =
   if not t.active then begin
     t.active <- true;
+    t.epoch <- t.epoch + 1;
+    let epoch = t.epoch in
     Sim.Engine.periodic t.engine ~every:t.config.sleep (fun () ->
-        if t.active then scan_once t;
-        t.active)
+        let live = t.epoch = epoch in
+        if live then scan_once t;
+        live)
   end
 
-let stop t = t.active <- false
+let stop t =
+  t.active <- false;
+  t.epoch <- t.epoch + 1
 let running t = t.active
 let full_scans t = t.full_scans
 let pages_merged t = t.merges

@@ -1,14 +1,12 @@
 (** Priority queue of timestamped events.
 
-    A hierarchical timing wheel (5 levels x 256 slots over 64 ns ticks,
-    plus an overflow list for events beyond ~19.5 simulated hours):
-    schedule, expire and cancel are O(1) amortised for the near-horizon
-    events that dominate a simulation. Events are delivered ordered by
-    [(time, sequence)]; the sequence number breaks ties so that events
-    scheduled for the same instant fire in scheduling order, which keeps
-    simulations deterministic. The observable behaviour is identical to
-    the binary-heap reference implementation it replaced, kept as
-    [Event_heap] in test/oracle/ for differential tests. *)
+    A binary min-heap. Events are delivered ordered by [(time, sequence)];
+    the sequence number breaks ties so that events scheduled for the same
+    instant fire in scheduling order, which keeps simulations
+    deterministic. Push and pop are O(log n) and cancel is O(1): a
+    cancelled event is dropped lazily when it reaches the top. No
+    workload holds more than a dozen pending events in one engine, so
+    the heap stays a few levels deep. *)
 
 type 'a t
 

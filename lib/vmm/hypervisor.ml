@@ -24,6 +24,7 @@ type t = {
   mutable vm_list : Vm.t list;
   mutable buffers : Memory.Address_space.t list;
   mutable next_vm_index : int;
+  mutable next_serial : int;
 }
 
 let journal t name fields =
@@ -67,6 +68,7 @@ let create_l0 ?(ram_gb = 16) ?(ksm_config = Memory.Ksm.default_config) ctx ~name
     vm_list = [];
     buffers = [];
     next_vm_index = 1;
+    next_serial = 1;
   }
 
 let create_nested ?(use_vtx = true) ctx ~vm ~name =
@@ -115,6 +117,7 @@ let create_nested ?(use_vtx = true) ctx ~vm ~name =
           vm_list = [];
           buffers = [];
           next_vm_index = 1;
+          next_serial = 1;
         }
 
 let name t = t.hv_name
@@ -298,6 +301,11 @@ let host_buffer t ~name ~pages =
       t.buffers <- space :: t.buffers;
       Ok space
     with Memory.Frame_table.Out_of_memory_frames -> Error "host out of memory")
+
+let fresh_serial t =
+  let n = t.next_serial in
+  t.next_serial <- n + 1;
+  n
 
 let release_buffer t space =
   if List.memq space t.buffers then begin

@@ -101,4 +101,9 @@ val host_buffer : t -> name:string -> pages:int -> (Memory.Address_space.t, stri
     registered with ksmd when present - where the detector loads its
     copy of File-A. L0 only. *)
 
+val fresh_serial : t -> int
+(** 1, 2, 3, ... on successive calls: a per-host sequence for naming
+    the files a detector generates on this host, so names depend only
+    on the host's own history. *)
+
 val release_buffer : t -> Memory.Address_space.t -> unit

@@ -194,10 +194,10 @@ let load_file t file =
     t.next_file_page <- t.next_file_page + file_pages;
     Memory.File_image.load_into file t.ram ~offset;
     Hashtbl.replace t.loaded_files fname (offset, file_pages);
-    (* no file name: the detector's fresh-file names count process-wide,
-       so they would make the journal depend on --jobs *)
     journal t "loaded"
-      [ ("pages", string_of_int file_pages); ("offset", string_of_int offset) ];
+      [
+        ("file", fname); ("pages", string_of_int file_pages); ("offset", string_of_int offset);
+      ];
     Ok offset
   end
 

@@ -1,9 +1,8 @@
-(* Differential and model-based tests for the timing-wheel event queue
-   (Sim.Event_queue) against two oracles: a sorted-list model and the
-   binary-heap reference implementation (Event_heap). The wheel and
-   the heap promise identical observable behaviour - (time, seq) order,
-   FIFO on equal timestamps, lazy cancellation - so any divergence under
-   random push/cancel/pop/peek interleavings is a bug in one of them. *)
+(* Model-based tests for the event queue (Sim.Event_queue): random and
+   seeded push/cancel/pop/peek interleavings are checked against a
+   sorted-list model of its contract - (time, seq) order, FIFO on equal
+   timestamps, cancelling a fired or cancelled handle is a no-op - plus
+   directed cases and payload-release checks. *)
 
 (* ---- operations ---- *)
 
@@ -22,7 +21,7 @@ let model_insert (t, s) l =
   in
   go l
 
-(* Run the op list against the wheel and the model simultaneously,
+(* Run the op list against the queue and the model simultaneously,
    checking every observation. Returns unit or fails the test. *)
 let check_against_model ops =
   let q = Sim.Event_queue.create () in
@@ -43,7 +42,7 @@ let check_against_model ops =
         | [] -> ()
         | l ->
           (* may pick an already-fired or already-cancelled handle: both
-             must be no-ops on the wheel and leave the model unchanged *)
+             must be no-ops on the queue and leave the model unchanged *)
           let s, h = List.nth l (k mod List.length l) in
           Sim.Event_queue.cancel q h;
           model := List.filter (fun (_, s') -> s' <> s) !model)
@@ -52,40 +51,41 @@ let check_against_model ops =
         | None, [] -> ()
         | Some (t, v), (tm, sm) :: rest ->
           if Sim.Time.to_ns t <> Int64.of_int tm || v <> sm then
-            fail "pop mismatch: wheel (%Ld,%d) model (%d,%d)" (Sim.Time.to_ns t) v tm sm;
+            fail "pop mismatch: queue (%Ld,%d) model (%d,%d)" (Sim.Time.to_ns t) v tm sm;
           model := rest
-        | None, (tm, sm) :: _ -> fail "wheel empty, model has (%d,%d)" tm sm
-        | Some (t, v), [] -> fail "wheel has (%Ld,%d), model empty" (Sim.Time.to_ns t) v)
+        | None, (tm, sm) :: _ -> fail "queue empty, model has (%d,%d)" tm sm
+        | Some (t, v), [] -> fail "queue has (%Ld,%d), model empty" (Sim.Time.to_ns t) v)
       | Peek -> (
+        if Sim.Event_queue.size q <> List.length !model then
+          fail "size mismatch: queue %d model %d" (Sim.Event_queue.size q) (List.length !model);
         match (Sim.Event_queue.peek_time q, !model) with
         | None, [] -> ()
         | Some t, (tm, _) :: _ ->
           if Sim.Time.to_ns t <> Int64.of_int tm then
-            fail "peek mismatch: wheel %Ld model %d" (Sim.Time.to_ns t) tm
-        | None, (tm, _) :: _ -> fail "peek: wheel empty, model head %d" tm
-        | Some t, [] -> fail "peek: wheel %Ld, model empty" (Sim.Time.to_ns t)))
+            fail "peek mismatch: queue %Ld model %d" (Sim.Time.to_ns t) tm
+        | None, (tm, _) :: _ -> fail "peek: queue empty, model head %d" tm
+        | Some t, [] -> fail "peek: queue %Ld, model empty" (Sim.Time.to_ns t)))
     ops;
   if Sim.Event_queue.size q <> List.length !model then
-    fail "size mismatch: wheel %d model %d" (Sim.Event_queue.size q) (List.length !model);
+    fail "size mismatch: queue %d model %d" (Sim.Event_queue.size q) (List.length !model);
   (* drain what is left and compare the tail order *)
   let rec drain () =
     match (Sim.Event_queue.pop q, !model) with
     | None, [] -> ()
     | Some (t, v), (tm, sm) :: rest ->
       if Sim.Time.to_ns t <> Int64.of_int tm || v <> sm then
-        fail "drain mismatch: wheel (%Ld,%d) model (%d,%d)" (Sim.Time.to_ns t) v tm sm;
+        fail "drain mismatch: queue (%Ld,%d) model (%d,%d)" (Sim.Time.to_ns t) v tm sm;
       model := rest;
       drain ()
-    | None, (tm, _) :: _ -> fail "drain: wheel dry with model head %d" tm
-    | Some (t, _), [] -> fail "drain: wheel overfull at %Ld" (Sim.Time.to_ns t)
+    | None, (tm, _) :: _ -> fail "drain: queue dry with model head %d" tm
+    | Some (t, _), [] -> fail "drain: queue overfull at %Ld" (Sim.Time.to_ns t)
   in
   drain ()
 
 (* ---- generators ---- *)
 
-(* Timestamps chosen to stress every placement regime of the wheel:
-   level-0 slots with heavy same-tick ties, mid-level windows, and the
-   far-future overflow list (beyond 2^46 ns ~ 19.5 h of 64 ns ticks). *)
+(* Timestamps mix heavy same-instant ties (under 256 ns), sub-ms and
+   multi-minute spreads, and far-future events beyond 2^46 ns (~19.5 h). *)
 let time_gen =
   QCheck.Gen.frequency
     [
@@ -118,26 +118,22 @@ let ops_arbitrary =
 let model_props =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"wheel matches sorted-list model" ~count:300 ops_arbitrary
+      (QCheck.Test.make ~name:"queue matches sorted-list model" ~count:300 ops_arbitrary
          (fun ops ->
            check_against_model ops;
            true));
   ]
 
-(* ---- differential fuzz vs the binary-heap reference ---- *)
+(* ---- seeded op streams ---- *)
 
-(* Replays the same op stream against wheel and heap and checks every
-   observation agrees. Deterministic seeds make failures reproducible;
-   seed coverage includes the regimes that caught two historical wheel
-   bugs: a level-0 window that aliased an already-harvested tick
-   (stale-window livelock) and an occupied current slot masking a
-   nearer slot at the same level (overflow-ordering bug). *)
-let differential_drain ~seed ~ops:n_ops =
+(* Deterministic op streams from a seeded RNG, so failures reproduce
+   by seed. The mix is 45% push, 15% cancel of any handle pushed so far
+   (fired and cancelled ones included), 30% pop and 10% peek, with one
+   push in ten beyond 2^46 ns. *)
+let seeded_ops ~seed ~ops:n_ops =
   let r = Sim.Rng.create seed in
-  let wheel = Sim.Event_queue.create () in
-  let heap = Event_heap.create () in
-  let wh = ref [] and hh = ref [] in
-  let check_eq what a b = Alcotest.(check int64) what a b in
+  let pushes = ref 0 in
+  let ops = ref [] in
   for _ = 1 to n_ops do
     match Sim.Rng.int r 100 with
     | c when c < 45 ->
@@ -148,59 +144,29 @@ let differential_drain ~seed ~ops:n_ops =
         | 3 | 4 | 5 -> Sim.Rng.int r 1_000_000
         | _ -> Sim.Rng.int r 1_000_000 * 1_000_003
       in
-      let t = Sim.Time.ns tns in
-      wh := Sim.Event_queue.push wheel t tns :: !wh;
-      hh := Event_heap.push heap t tns :: !hh
-    | c when c < 60 ->
-      let nw = List.length !wh in
-      if nw > 0 then begin
-        let k = Sim.Rng.int r nw in
-        Sim.Event_queue.cancel wheel (List.nth !wh k);
-        Event_heap.cancel heap (List.nth !hh k)
-      end
-    | c when c < 90 -> (
-      match (Sim.Event_queue.pop wheel, Event_heap.pop heap) with
-      | None, None -> ()
-      | Some (tw, vw), Some (th, vh) ->
-        check_eq "pop time" (Sim.Time.to_ns th) (Sim.Time.to_ns tw);
-        Alcotest.(check int) "pop payload" vh vw
-      | Some _, None -> Alcotest.fail "wheel popped, heap empty"
-      | None, Some _ -> Alcotest.fail "heap popped, wheel empty")
-    | _ -> (
-      Alcotest.(check int) "size" (Event_heap.size heap) (Sim.Event_queue.size wheel);
-      match (Sim.Event_queue.peek_time wheel, Event_heap.peek_time heap) with
-      | None, None -> ()
-      | Some tw, Some th -> check_eq "peek" (Sim.Time.to_ns th) (Sim.Time.to_ns tw)
-      | _ -> Alcotest.fail "peek presence mismatch")
+      incr pushes;
+      ops := Push tns :: !ops
+    | c when c < 60 -> if !pushes > 0 then ops := Cancel (Sim.Rng.int r !pushes) :: !ops
+    | c when c < 90 -> ops := Pop :: !ops
+    | _ -> ops := Peek :: !ops
   done;
-  let rec drain () =
-    match (Sim.Event_queue.pop wheel, Event_heap.pop heap) with
-    | None, None -> ()
-    | Some (tw, vw), Some (th, vh) ->
-      check_eq "drain time" (Sim.Time.to_ns th) (Sim.Time.to_ns tw);
-      Alcotest.(check int) "drain payload" vh vw;
-      drain ()
-    | _ -> Alcotest.fail "drain length mismatch"
-  in
-  drain ()
+  List.rev !ops
 
-let differential_tests =
+let seeded_tests =
   [
-    Alcotest.test_case "wheel = heap over 50 random op streams" `Quick (fun () ->
+    Alcotest.test_case "matches model on 50 seeded streams" `Quick (fun () ->
         for seed = 0 to 49 do
-          differential_drain ~seed ~ops:500
+          check_against_model (seeded_ops ~seed ~ops:500)
         done);
-    Alcotest.test_case "wheel = heap, long overflow-heavy stream" `Quick (fun () ->
-        (* seed 24 of the original fuzz caught the slot-masking bug in
-           the overflow regime; run longer streams across it *)
+    Alcotest.test_case "matches model on long streams" `Quick (fun () ->
         for seed = 20 to 29 do
-          differential_drain ~seed ~ops:2000
+          check_against_model (seeded_ops ~seed ~ops:2000)
         done);
   ]
 
 (* ---- directed semantics tests ---- *)
 
-let wheel_tests =
+let semantics_tests =
   let open Sim.Event_queue in
   [
     Alcotest.test_case "same-timestamp events pop in push order" `Quick (fun () ->
@@ -218,8 +184,8 @@ let wheel_tests =
         done);
     Alcotest.test_case "far-future events take the overflow path and return" `Quick (fun () ->
         let q = create () in
-        (* > 2^46 ns: beyond the wheel horizon, so these sit in the
-           overflow list until everything nearer has drained *)
+        (* > 2^46 ns: far-future events must wait until everything
+           nearer has drained *)
         let far = Sim.Time.ns 200_000_000_000_000 in
         let farther = Sim.Time.ns 200_000_000_001_000 in
         let h_far = push q far 1 in
@@ -231,16 +197,14 @@ let wheel_tests =
         Alcotest.(check (option int)) "overflow survivor" (Some 2) (Option.map snd (pop q));
         Alcotest.(check bool) "drained" true (pop q = None));
     Alcotest.test_case "re-armed slot after harvest does not stall" `Quick (fun () ->
-        (* regression for the stale-window livelock: pop an event out of
-           a level-0 slot, then push new events that map back into the
-           same slot (one wheel turn later) and to nearby ticks; each
-           pop must terminate and preserve order *)
+        (* pop an event, then push new ones 256 and 256^2 steps of
+           64 ns after it and one step after it; each pop must
+           terminate and preserve order *)
         let q = create () in
         let tick n = Sim.Time.ns (64 * n) in
         ignore (push q (tick 7935) 0);
         Alcotest.(check (option int)) "first" (Some 0) (Option.map snd (pop q));
         ignore (push q (tick 8191) 1);
-        (* same level-0 slot index as 7935, next turn *)
         ignore (push q (tick (7935 + 256 * 256)) 2);
         ignore (push q (tick 7936) 3);
         Alcotest.(check (option int)) "nearest" (Some 3) (Option.map snd (pop q));
@@ -270,10 +234,8 @@ let wheel_tests =
 
 (* ---- payload release (GC) ---- *)
 
-(* Popping (or draining) must not leave payload pointers behind in the
-   queue's internal arrays: the heap historically retained the last
-   popped element in its vacated tail slot, and the wheel purges its
-   arenas when the last live event fires. *)
+(* Payload release: a drained queue drops its heap array, and a first
+   pop with other events still queued must not pin the popped payload. *)
 let gc_tests =
   let weak_of v =
     let w = Weak.create 1 in
@@ -286,7 +248,7 @@ let gc_tests =
     Weak.get w 0 = None
   in
   [
-    Alcotest.test_case "wheel releases payloads after drain" `Quick (fun () ->
+    Alcotest.test_case "queue releases payloads after drain" `Quick (fun () ->
         let q = Sim.Event_queue.create () in
         let p = ref (Bytes.create 64) in
         let w = weak_of !p in
@@ -297,25 +259,25 @@ let gc_tests =
         ignore (Sim.Event_queue.pop q);
         Alcotest.(check bool) "payload collectable" true (gone w));
     Alcotest.test_case "heap releases a popped payload while others remain" `Quick (fun () ->
-        let q = Event_heap.create () in
+        let q = Sim.Event_queue.create () in
         let p = ref (Bytes.create 64) in
         let w = weak_of !p in
-        ignore (Event_heap.push q (Sim.Time.ms 1.) !p);
+        ignore (Sim.Event_queue.push q (Sim.Time.ms 1.) !p);
         for i = 2 to 4 do
-          ignore (Event_heap.push q (Sim.Time.ms (float_of_int i)) (Bytes.create 8))
+          ignore (Sim.Event_queue.push q (Sim.Time.ms (float_of_int i)) (Bytes.create 8))
         done;
         p := Bytes.create 0;
-        ignore (Event_heap.pop q);
+        ignore (Sim.Event_queue.pop q);
         (* three events still queued: the vacated tail slot must not pin
            the popped payload *)
         Alcotest.(check bool) "payload collectable" true (gone w));
     Alcotest.test_case "heap releases everything when drained" `Quick (fun () ->
-        let q = Event_heap.create () in
+        let q = Sim.Event_queue.create () in
         let p = ref (Bytes.create 64) in
         let w = weak_of !p in
-        ignore (Event_heap.push q (Sim.Time.ms 1.) !p);
+        ignore (Sim.Event_queue.push q (Sim.Time.ms 1.) !p);
         p := Bytes.create 0;
-        ignore (Event_heap.pop q);
+        ignore (Sim.Event_queue.pop q);
         Alcotest.(check bool) "payload collectable" true (gone w));
   ]
 
@@ -323,7 +285,7 @@ let () =
   Alcotest.run "event_queue"
     [
       ("model", model_props);
-      ("differential", differential_tests);
-      ("semantics", wheel_tests);
+      ("seeded-model", seeded_tests);
+      ("semantics", semantics_tests);
       ("gc", gc_tests);
     ]

@@ -369,6 +369,21 @@ let service_tests =
         ignore (Sim.Engine.run_for (Sim.Ctx.engine ctx) (Sim.Time.minutes 16.));
         stop service;
         Alcotest.(check bool) "at least 3 sweeps" true (sweeps_run service >= 3));
+    Alcotest.test_case "restart within one period keeps one tick chain" `Quick (fun () ->
+        List.iter
+          (fun (mode, start) ->
+            let ctx, _, _, service, _, _ =
+              make_world_with_service
+                ~policy:{ default_policy with sweep_every = Sim.Time.minutes 5. }
+                ()
+            in
+            start service;
+            stop service;
+            start service;
+            ignore (Sim.Engine.run_for (Sim.Ctx.engine ctx) (Sim.Time.minutes 16.));
+            stop service;
+            Alcotest.(check int) (mode ^ ": one sweep per period") 3 (sweeps_run service))
+          [ ("start", start); ("start_monitor", start_monitor) ]);
     Alcotest.test_case "unregister stops probing a tenant" `Quick (fun () ->
         let _, _, _, service, _, _ = make_world_with_service () in
         ignore (sweep_now service);

@@ -308,6 +308,19 @@ let run_full_pass engine ksm n =
 
 let ksm_tests =
   [
+    Alcotest.test_case "restart within one sleep keeps one tick chain" `Quick (fun () ->
+        let telemetry = Sim.Telemetry.create () in
+        let ctx = Sim.Ctx.create ~telemetry () in
+        let ft = Memory.Frame_table.create ctx in
+        let config = { Memory.Ksm.pages_to_scan = 8; sleep = Sim.Time.ms 1.; incremental = false } in
+        let ksm = Memory.Ksm.create ~config ctx ft in
+        Memory.Ksm.register ksm (Memory.Address_space.create_root ft ~name:"s" ~pages:1000);
+        Memory.Ksm.start ksm;
+        Memory.Ksm.stop ksm;
+        Memory.Ksm.start ksm;
+        ignore (Sim.Engine.run_for (Sim.Ctx.engine ctx) (Sim.Time.mul config.sleep 10.));
+        Alcotest.(check (option (float 0.))) "10 wakeups' worth of pages" (Some 80.)
+          (Sim.Telemetry.value telemetry "ksm_pages_scanned_total"));
     Alcotest.test_case "identical pages merge" `Quick (fun () ->
         let engine, ft, ksm = make_ksm_world () in
         let a = Memory.Address_space.create_root ft ~name:"a" ~pages:8 in

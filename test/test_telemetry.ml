@@ -201,7 +201,20 @@ let determinism_tests =
         let m1, s1 = run_batch ~jobs:1 in
         let m4, s4 = run_batch ~jobs:4 in
         Alcotest.(check string) "metrics" m1 m4;
-        Alcotest.(check string) "spans" s1 s4);
+        Alcotest.(check string) "spans" s1 s4;
+        (* File-A names are numbered per host, so the journal can carry
+           them without depending on the worker count *)
+        let loaded s =
+          List.filter
+            (fun l -> contains_sub l {|"component":"vm","name":"loaded"|})
+            (String.split_on_char '\n' s)
+        in
+        let l1 = loaded s1 in
+        Alcotest.(check int) "one File-A load per trial" 3 (List.length l1);
+        List.iter
+          (fun l -> Alcotest.(check bool) "loaded entry names its file" true (contains_sub l {|"file":"file-a-|}))
+          l1;
+        Alcotest.(check (list string)) "same loaded entries" l1 (loaded s4));
     Alcotest.test_case "scenario metrics cover the layers" `Slow (fun () ->
         let t = Sim.Telemetry.create () in
         let sc = Cloudskulk.Scenarios.infected (Sim.Ctx.create ~seed:3 ~telemetry:t ()) in
