@@ -4,18 +4,24 @@
    Cancellation is lazy: a cancelled entry stays in the heap and is
    discarded when it reaches the top. [pending] tracks ids that are in the
    heap and not cancelled, so [size] stays accurate and cancelling an
-   already-fired event is a true no-op. *)
+   already-fired event is a true no-op.
+
+   Slots [0, len) hold entries and every slot past [len] is [Empty], so
+   the array never keeps a popped payload reachable. [Empty] is an
+   immediate and [Entry] one block, the same cost as a plain record. *)
 type handle = int
 
-type 'a entry = {
-  time : Time.t;
-  seq : int;
-  id : handle;
-  payload : 'a;
-}
+type 'a slot =
+  | Empty
+  | Entry of {
+      time : Time.t;
+      seq : int;
+      id : handle;
+      payload : 'a;
+    }
 
 type 'a t = {
-  mutable heap : 'a entry array;
+  mutable heap : 'a slot array;
   mutable len : int;
   mutable next_seq : int;
   mutable next_id : handle;
@@ -35,9 +41,12 @@ let is_empty t = Hashtbl.length t.pending = 0
 let size t = Hashtbl.length t.pending
 
 let before a b =
-  match Time.compare a.time b.time with
-  | 0 -> a.seq < b.seq
-  | c -> c < 0
+  match (a, b) with
+  | Entry a, Entry b -> (
+    match Time.compare a.time b.time with
+    | 0 -> a.seq < b.seq
+    | c -> c < 0)
+  | Empty, _ | _, Empty -> assert false
 
 let swap t i j =
   let tmp = t.heap.(i) in
@@ -63,25 +72,18 @@ let rec sift_down t i =
     sift_down t !smallest
   end
 
-(* [t.heap.(0)] is always a live entry here (grow runs mid-push when the
-   array is full), so the doubling filler never pins a popped payload:
-   slots beyond [len] only ever alias entries that are still in the
-   heap. *)
 let grow t =
   let cap = Array.length t.heap in
-  let new_cap = if cap = 0 then 16 else 2 * cap in
-  let new_heap = Array.make new_cap t.heap.(0) in
+  let new_heap = Array.make (if cap = 0 then 16 else 2 * cap) Empty in
   Array.blit t.heap 0 new_heap 0 t.len;
   t.heap <- new_heap
 
 let push t time payload =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let entry = { time; seq = t.next_seq; id; payload } in
+  if t.len = Array.length t.heap then grow t;
+  t.heap.(t.len) <- Entry { time; seq = t.next_seq; id; payload };
   t.next_seq <- t.next_seq + 1;
-  if t.len = 0 && Array.length t.heap = 0 then t.heap <- Array.make 16 entry
-  else if t.len = Array.length t.heap then grow t;
-  t.heap.(t.len) <- entry;
   t.len <- t.len + 1;
   sift_up t (t.len - 1);
   Hashtbl.add t.pending id ();
@@ -93,36 +95,30 @@ let cancel t id = Hashtbl.remove t.pending id
 let pop_top t =
   let top = t.heap.(0) in
   t.len <- t.len - 1;
-  if t.len > 0 then begin
-    t.heap.(0) <- t.heap.(t.len);
-    sift_down t 0;
-    (* Alias the vacated tail slot to the live minimum. Slots past
-       [len] are never read, but they keep their entries reachable until
-       a push overwrites them, so an entry popped while others remain
-       can stay pinned that long. *)
-    t.heap.(t.len) <- t.heap.(0)
-  end
-  else
-    (* Emptied out: drop the whole array, every slot of which references
-       popped entries. Next push re-seeds it. *)
-    t.heap <- [||];
+  t.heap.(0) <- t.heap.(t.len);
+  t.heap.(t.len) <- Empty;
+  if t.len > 0 then sift_down t 0;
   top
 
 let rec discard_cancelled t =
-  if t.len > 0 && not (Hashtbl.mem t.pending t.heap.(0).id) then begin
-    let _ = pop_top t in
-    discard_cancelled t
-  end
+  if t.len > 0 then
+    match t.heap.(0) with
+    | Entry e when not (Hashtbl.mem t.pending e.id) ->
+      let _ = pop_top t in
+      discard_cancelled t
+    | Entry _ | Empty -> ()
 
 let peek_time t =
   discard_cancelled t;
-  if t.len = 0 then None else Some t.heap.(0).time
+  if t.len = 0 then None
+  else match t.heap.(0) with Entry e -> Some e.time | Empty -> assert false
 
 let pop t =
   discard_cancelled t;
   if t.len = 0 then None
-  else begin
-    let top = pop_top t in
-    Hashtbl.remove t.pending top.id;
-    Some (top.time, top.payload)
-  end
+  else
+    match pop_top t with
+    | Entry e ->
+      Hashtbl.remove t.pending e.id;
+      Some (e.time, e.payload)
+    | Empty -> assert false

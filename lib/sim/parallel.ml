@@ -43,9 +43,6 @@ let map ?(jobs = 1) n f =
         | Some (Raised _) | None -> assert false)
   end
 
-let map_seeds ?jobs ~root_seed ~trials f =
-  map ?jobs trials (fun i -> f ~seed:(root_seed + i))
-
 (* Context fan-out: each trial gets its own child context - a fresh
    engine minted from a per-trial seed and, when the parent carries a
    sink, its own child sink (no cross-domain sharing). The children are

@@ -24,11 +24,6 @@ val map : ?jobs:int -> int -> (int -> 'a) -> 'a list
     trial raises, the exception of the lowest-indexed failing trial is
     re-raised after all workers finish. *)
 
-val map_seeds : ?jobs:int -> root_seed:int -> trials:int -> (seed:int -> 'a) -> 'a list
-(** [map_seeds ~root_seed ~trials f] runs [f ~seed:(root_seed + i)] for
-    [i] in [0 .. trials - 1] via {!map}: the canonical seed-derivation
-    scheme for repeated-trial experiments. *)
-
 val map_ctx :
   ?jobs:int -> ?seed_of:(int -> int) -> ctx:Ctx.t -> trials:int -> (int -> Ctx.t -> 'a) ->
   'a list

@@ -234,8 +234,9 @@ let semantics_tests =
 
 (* ---- payload release (GC) ---- *)
 
-(* Payload release: a drained queue drops its heap array, and a first
-   pop with other events still queued must not pin the popped payload. *)
+(* Payload release: no slot past the heap's live length may reference
+   an entry, so a popped payload is collectable whether the queue was
+   drained or still holds events. *)
 let gc_tests =
   let weak_of v =
     let w = Weak.create 1 in
@@ -270,7 +271,8 @@ let gc_tests =
         ignore (Sim.Event_queue.pop q);
         (* three events still queued: the vacated tail slot must not pin
            the popped payload *)
-        Alcotest.(check bool) "payload collectable" true (gone w));
+        Alcotest.(check bool) "payload collectable" true (gone w);
+        Alcotest.(check int) "three events left" 3 (Sim.Event_queue.size q));
     Alcotest.test_case "heap releases everything when drained" `Quick (fun () ->
         let q = Sim.Event_queue.create () in
         let p = ref (Bytes.create 64) in
@@ -279,6 +281,25 @@ let gc_tests =
         p := Bytes.create 0;
         ignore (Sim.Event_queue.pop q);
         Alcotest.(check bool) "payload collectable" true (gone w));
+    Alcotest.test_case "heap releases payloads popped before the last one" `Quick (fun () ->
+        (* push 1-4 ms and pop three times: the sift-downs move the 2 ms
+           and 3 ms entries into slots past the live length, where they
+           must not stay reachable *)
+        let q = Sim.Event_queue.create () in
+        let p = ref (Bytes.create 64) in
+        let w = weak_of !p in
+        ignore (Sim.Event_queue.push q (Sim.Time.ms 1.) (Bytes.create 8));
+        ignore (Sim.Event_queue.push q (Sim.Time.ms 2.) (Bytes.create 8));
+        ignore (Sim.Event_queue.push q (Sim.Time.ms 3.) !p);
+        ignore (Sim.Event_queue.push q (Sim.Time.ms 4.) (Bytes.create 8));
+        p := Bytes.create 0;
+        for _ = 1 to 3 do
+          ignore (Sim.Event_queue.pop q)
+        done;
+        Alcotest.(check bool) "3 ms payload collectable" true (gone w);
+        (* reading [q] after the collection keeps the queue itself alive
+           through it *)
+        Alcotest.(check int) "one event left" 1 (Sim.Event_queue.size q));
   ]
 
 let () =

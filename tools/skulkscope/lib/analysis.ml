@@ -1,7 +1,7 @@
 (* Pass B, across functions: per-unit emission consulting the
    whole-tree tables (the site-local rules are in Checks).
 
-   Spawn sites ([Sim.Parallel.map]/[map_seeds]/[map_ctx] incl. the
+   Spawn sites ([Sim.Parallel.map]/[map_ctx] incl. the
    [~seed_of] callback, [Domain.spawn], [Thread.create]) get a
    free-variable analysis of the spawned closure: every free name is
    classified by its *type* — Atomic is exempt, mutable roots fire

@@ -71,7 +71,7 @@ let is_spawn_head key =
   is_raw_spawn key
   ||
   match short key with
-  | ("Parallel", ("map" | "map_seeds" | "map_ctx" | "run_sharded")) -> true
+  | ("Parallel", ("map" | "map_ctx" | "run_sharded")) -> true
   | _ -> false
 
 let is_wall_clock key =

@@ -32,9 +32,9 @@
      domain-spawn      raw [Domain.spawn]/[Thread.create] outside
                        [Sim.Parallel].
      escape-capture    a closure handed to a spawn head ([Sim.Parallel.map]/
-                       [map_seeds]/[map_ctx]/[run_sharded], incl.
-                       [~seed_of], or a raw spawn) captures a value of
-                       mutable type from the spawning scope.
+                       [map_ctx]/[run_sharded], incl. [~seed_of], or a
+                       raw spawn) captures a value of mutable type from
+                       the spawning scope.
      escape-call       the spawned closure calls a function whose
                        transitively reachable roots include module-level
                        mutable state.
